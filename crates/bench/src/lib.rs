@@ -73,8 +73,6 @@ impl Default for MeasureCfg {
             .max(1);
         let finder = match std::env::var("CULZSS_FINDER").as_deref() {
             Ok("hash") => FinderKind::HashChain,
-            Ok("kmp") => FinderKind::Kmp,
-            Ok("tree") => FinderKind::Tree,
             _ => FinderKind::BruteForce,
         };
         let bwt = match std::env::var("CULZSS_BWT").as_deref() {

@@ -8,7 +8,7 @@
 //! parse — typically a few percent of ratio on text.
 
 use crate::config::LzssConfig;
-use crate::matchfind::{BruteForce, FinderKind, HashChain, KmpFinder, MatchFinder, TreeFinder};
+use crate::matchfind::{BruteForce, FinderKind, HashChain, MatchFinder};
 use crate::token::Token;
 
 /// How the tokenizer chooses between overlapping match opportunities.
@@ -36,15 +36,6 @@ pub fn tokenize(
     match finder {
         FinderKind::BruteForce => run(&mut BruteForce::new()),
         FinderKind::HashChain => run(&mut HashChain::new(config.window_size)),
-        FinderKind::Kmp => run(&mut KmpFinder::new()),
-        FinderKind::Tree => run(&mut TreeFinder::new()),
-    }
-}
-
-fn advance(finder: &mut dyn MatchFinder, input: &[u8], config: &LzssConfig, p: usize) {
-    finder.insert(input, p);
-    if p >= config.window_size {
-        finder.evict(input, p - config.window_size);
     }
 }
 
@@ -59,7 +50,7 @@ fn greedy(input: &[u8], config: &LzssConfig, finder: &mut dyn MatchFinder) -> Ve
             _ => Token::Literal(input[pos]),
         };
         for p in pos..pos + token.coverage() {
-            advance(finder, input, config, p);
+            finder.insert(input, p);
         }
         pos += token.coverage();
         tokens.push(token);
@@ -77,7 +68,7 @@ fn lazy(input: &[u8], config: &LzssConfig, finder: &mut dyn MatchFinder) -> Vec<
         match here {
             Some(m) if m.length >= config.min_match => {
                 // Peek at pos+1 (requires pos to be inserted first).
-                advance(finder, input, config, pos);
+                finder.insert(input, pos);
                 let next =
                     if pos + 1 < input.len() { finder.find(input, pos + 1, config) } else { None };
                 let defer = next.is_some_and(|n| n.length > m.length);
@@ -92,14 +83,14 @@ fn lazy(input: &[u8], config: &LzssConfig, finder: &mut dyn MatchFinder) -> Vec<
                     });
                     // `pos` is already inserted; cover the rest.
                     for p in pos + 1..pos + m.length {
-                        advance(finder, input, config, p);
+                        finder.insert(input, p);
                     }
                     pos += m.length;
                 }
             }
             _ => {
                 tokens.push(Token::Literal(input[pos]));
-                advance(finder, input, config, pos);
+                finder.insert(input, pos);
                 pos += 1;
             }
         }
@@ -251,9 +242,6 @@ pub fn tokenize_optimal(input: &[u8], config: &LzssConfig) -> Vec<Token> {
             longest[pos] = (m.distance as u16, m.length as u16);
         }
         finder.insert(input, pos);
-        if pos >= config.window_size {
-            finder.evict(input, pos - config.window_size);
-        }
     }
 
     let lit_bits = config.literal_cost_bits() as u64;

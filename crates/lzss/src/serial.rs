@@ -10,7 +10,7 @@
 use crate::config::LzssConfig;
 use crate::error::{Error, Result};
 use crate::format::{self, TokenFormat};
-use crate::matchfind::{BruteForce, FinderKind, HashChain, KmpFinder, MatchFinder, TreeFinder};
+use crate::matchfind::{BruteForce, FinderKind, HashChain, MatchFinder};
 use crate::token::Token;
 
 /// Magic prefix of standalone serial streams (`"LZSS"`).
@@ -31,8 +31,6 @@ pub fn tokenize_with(input: &[u8], config: &LzssConfig, finder: FinderKind) -> V
         FinderKind::HashChain => {
             tokenize_impl(input, config, &mut HashChain::new(config.window_size))
         }
-        FinderKind::Kmp => tokenize_impl(input, config, &mut KmpFinder::new()),
-        FinderKind::Tree => tokenize_impl(input, config, &mut TreeFinder::new()),
     }
 }
 
@@ -62,13 +60,6 @@ fn tokenize_into(
         let step = token.coverage();
         for p in pos..pos + step {
             finder.insert(input, p);
-            // Retire positions sliding out of the window (finders with
-            // per-position bookkeeping need this; others no-op). After
-            // inserting p, the next search runs at p+1 or later, whose
-            // window starts at p+1−window — so p−window can go now.
-            if p >= config.window_size {
-                finder.evict(input, p - config.window_size);
-            }
         }
         pos += step;
         tokens.push(token);
@@ -136,8 +127,6 @@ impl Tokenizer {
         match kind {
             FinderKind::BruteForce => Box::new(BruteForce::new()),
             FinderKind::HashChain => Box::new(HashChain::new(window)),
-            FinderKind::Kmp => Box::new(KmpFinder::new()),
-            FinderKind::Tree => Box::new(TreeFinder::new()),
         }
     }
 
@@ -585,8 +574,7 @@ mod finder_equivalence_tests {
         }
     }
 
-    /// Same check under the narrow GPU window, where eviction paths in
-    /// the tree finder are exercised heavily.
+    /// Same check under the narrow GPU window.
     #[test]
     fn all_finders_compress_equivalently_narrow_window() {
         let config = LzssConfig::culzss_v2();
