@@ -21,8 +21,6 @@
 //! * [`matchfind`] — pluggable longest-match searchers (brute force as in
 //!   the paper, plus a hash-chain accelerated variant implementing the
 //!   paper's "better search structures" future-work item).
-//! * [`parse`] — greedy and one-step-lazy parsing strategies (the
-//!   latter implements part of the paper's algorithmic future work).
 //! * [`serial`] — the reference serial compressor/decompressor.
 //! * [`container`] — the chunked container format with the per-chunk
 //!   compressed-size table the paper records for parallel decompression;
@@ -57,7 +55,6 @@ pub mod error;
 pub mod format;
 pub mod incremental;
 pub mod matchfind;
-pub mod parse;
 pub mod serial;
 pub mod stream;
 pub mod token;

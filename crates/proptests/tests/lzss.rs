@@ -205,25 +205,5 @@ mod incremental_props {
                 }
             }
         }
-
-        /// Lazy parsing roundtrips and never bloats much.
-        #[test]
-        fn lazy_parse_roundtrips(
-            data in proptest::collection::vec(
-                prop_oneof![Just(b'x'), Just(b'y'), any::<u8>()],
-                0..3000,
-            ),
-            config in configs(),
-        ) {
-            use culzss_lzss::parse::{tokenize, ParseStrategy};
-            use culzss_lzss::matchfind::FinderKind;
-            use culzss_lzss::token::expand;
-            let lazy = tokenize(&data, &config, FinderKind::HashChain, ParseStrategy::Lazy);
-            prop_assert_eq!(expand(&lazy, &config).unwrap(), data.clone());
-            let greedy = tokenize(&data, &config, FinderKind::HashChain, ParseStrategy::Greedy);
-            let l = culzss_lzss::format::encoded_len(&lazy, &config);
-            let g = culzss_lzss::format::encoded_len(&greedy, &config);
-            prop_assert!(l as f64 <= g as f64 * 1.03 + 4.0, "lazy {} vs greedy {}", l, g);
-        }
     }
 }

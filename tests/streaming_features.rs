@@ -110,18 +110,3 @@ fn bzip2_streaming_io_on_generated_corpora() {
         assert_eq!(restored, data, "{}", dataset.slug());
     }
 }
-
-#[test]
-fn lazy_parse_improves_or_matches_every_corpus() {
-    use culzss_lzss::matchfind::FinderKind;
-    use culzss_lzss::parse::{tokenize, ParseStrategy};
-    let config = LzssConfig::dipperstein();
-    for dataset in Dataset::ALL {
-        let data = dataset.generate(64 * 1024, 41);
-        let greedy = tokenize(&data, &config, FinderKind::HashChain, ParseStrategy::Greedy);
-        let lazy = tokenize(&data, &config, FinderKind::HashChain, ParseStrategy::Lazy);
-        let g = culzss_lzss::format::encoded_len(&greedy, &config);
-        let l = culzss_lzss::format::encoded_len(&lazy, &config);
-        assert!(l as f64 <= g as f64 * 1.01, "{}: lazy {} vs greedy {}", dataset.slug(), l, g);
-    }
-}
