@@ -53,7 +53,6 @@ pub mod container;
 pub mod crc;
 pub mod error;
 pub mod format;
-pub mod incremental;
 pub mod matchfind;
 pub mod serial;
 pub mod stream;

@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: batched streaming,
-//! heterogeneous CPU+GPU compression, incremental codecs, and the traffic
-//! mixer — all composed across crates.
+//! heterogeneous CPU+GPU compression, and the traffic mixer — all
+//! composed across crates.
 
 use std::io::Cursor;
 
@@ -9,8 +9,6 @@ use culzss::stream::StreamingCompressor;
 use culzss::{Culzss, Version};
 use culzss_datasets::mixer::Mixer;
 use culzss_datasets::Dataset;
-use culzss_lzss::incremental::{IncrementalDecoder, IncrementalEncoder};
-use culzss_lzss::LzssConfig;
 
 #[test]
 fn streaming_compressor_over_mixed_traffic() {
@@ -43,54 +41,6 @@ fn hetero_streams_interoperate_with_every_decompressor() {
     // CPU chunked decompressor (same container, same config).
     let config = gpu.params().lzss_config();
     assert_eq!(culzss_pthread::decompress(&stream, &config, 3).unwrap(), data);
-}
-
-#[test]
-fn incremental_pair_handles_gateway_flow() {
-    // Encoder on the ingress, decoder on the egress, tiny packets both
-    // ways, across corpora.
-    let config = LzssConfig::dipperstein();
-    for dataset in [Dataset::CFiles, Dataset::HighlyCompressible] {
-        let data = dataset.generate(64 * 1024, 35);
-        let mut enc = IncrementalEncoder::new(config.clone()).unwrap();
-        for packet in data.chunks(1500) {
-            enc.push(packet);
-        }
-        let wire = enc.finish().unwrap();
-
-        let mut dec = IncrementalDecoder::new_standalone(config.clone()).unwrap();
-        let mut restored = Vec::new();
-        for packet in wire.chunks(1500) {
-            dec.push(packet, &mut restored).unwrap();
-        }
-        assert!(dec.is_done());
-        assert_eq!(restored, data, "{}", dataset.slug());
-    }
-}
-
-#[test]
-fn incremental_decoder_reads_container_chunks() {
-    // Container bodies are headerless token streams; the incremental
-    // decoder handles each chunk in body mode.
-    let params = culzss::CulzssParams::v1();
-    let config = params.lzss_config();
-    let data = Dataset::DeMap.generate(96 * 1024, 37);
-    let gpu = Culzss::new(Version::V1).with_workers(2);
-    let (stream, _) = gpu.compress(&data).unwrap();
-
-    let (container, payload_offset) = culzss_lzss::container::Container::parse(&stream).unwrap();
-    let payload = &stream[payload_offset..];
-    let mut restored = Vec::new();
-    for (range, unc_len) in container.chunk_layout() {
-        let mut dec = IncrementalDecoder::new_body(config.clone(), unc_len as u64).unwrap();
-        let mut out = Vec::new();
-        for piece in payload[range].chunks(17) {
-            dec.push(piece, &mut out).unwrap();
-        }
-        assert!(dec.is_done());
-        restored.extend_from_slice(&out);
-    }
-    assert_eq!(restored, data);
 }
 
 #[test]
