@@ -33,22 +33,12 @@ pub struct V2MatchKernel<'a> {
     pub params: &'a CulzssParams,
     /// Token configuration derived from the parameters.
     pub config: LzssConfig,
-    /// Global chunk index of this launch's block 0 — used by the
-    /// multi-device extension, where each device runs a contiguous slice
-    /// of the virtual grid.
-    pub chunk_offset: usize,
 }
 
 impl<'a> V2MatchKernel<'a> {
     /// Builds the kernel for a single-device launch.
     pub fn new(input: &'a [u8], params: &'a CulzssParams) -> Self {
-        Self { input, params, config: params.lzss_config(), chunk_offset: 0 }
-    }
-
-    /// Offsets the kernel's chunk indexing (multi-device partitioning).
-    pub fn with_chunk_offset(mut self, offset: usize) -> Self {
-        self.chunk_offset = offset;
-        self
+        Self { input, params, config: params.lzss_config() }
     }
 }
 
@@ -57,7 +47,7 @@ impl BlockKernel for V2MatchKernel<'_> {
     type Output = Vec<MatchRecord>;
 
     fn run_block(&self, block: &mut BlockCtx) -> Vec<MatchRecord> {
-        let chunk_start = (self.chunk_offset + block.block_idx) * self.params.chunk_size;
+        let chunk_start = block.block_idx * self.params.chunk_size;
         let chunk_end = (chunk_start + self.params.chunk_size).min(self.input.len());
         let chunk = &self.input[chunk_start..chunk_end];
         let mut records: Vec<MatchRecord> = vec![(0, 0); chunk.len()];

@@ -165,9 +165,6 @@ pub struct V3CompressKernel<'a> {
     pub params: &'a CulzssParams,
     /// Token configuration derived from the parameters.
     pub config: LzssConfig,
-    /// Global chunk index of this launch's block 0 (multi-device
-    /// partitioning, same convention as [`crate::kernel_v2`]).
-    pub chunk_offset: usize,
     /// Optional recycled-buffer pool for token scratch and bodies.
     pub pool: Option<&'a BufferPool>,
 }
@@ -175,13 +172,7 @@ pub struct V3CompressKernel<'a> {
 impl<'a> V3CompressKernel<'a> {
     /// Builds the kernel for a single-device launch.
     pub fn new(input: &'a [u8], params: &'a CulzssParams) -> Self {
-        Self { input, params, config: params.lzss_config(), chunk_offset: 0, pool: None }
-    }
-
-    /// Offsets the kernel's chunk indexing (multi-device partitioning).
-    pub fn with_chunk_offset(mut self, offset: usize) -> Self {
-        self.chunk_offset = offset;
-        self
+        Self { input, params, config: params.lzss_config(), pool: None }
     }
 
     /// Draws token scratch and body buffers from `pool`.
@@ -196,7 +187,7 @@ impl BlockKernel for V3CompressKernel<'_> {
     type Output = Vec<u8>;
 
     fn run_block(&self, block: &mut BlockCtx) -> Vec<u8> {
-        let chunk_start = (self.chunk_offset + block.block_idx) * self.params.chunk_size;
+        let chunk_start = block.block_idx * self.params.chunk_size;
         let chunk_end = (chunk_start + self.params.chunk_size).min(self.input.len());
         let chunk = &self.input[chunk_start..chunk_end];
         let arena = Arena::new(self.params);

@@ -82,7 +82,6 @@ pub mod device;
 pub mod exec;
 pub mod fault;
 pub mod meter;
-pub mod multi;
 pub mod occupancy;
 pub mod report;
 pub mod sanitizer;

@@ -109,58 +109,3 @@ fn v1_output_equals_per_chunk_serial_compression() {
     .unwrap();
     assert_eq!(gpu_stream, reference);
 }
-
-#[test]
-fn multi_gpu_extension_compresses_consistently() {
-    // The future-work multi-GPU path: two simulated devices split the
-    // grid; results must equal the single-device run.
-    use culzss_gpusim::multi::MultiGpu;
-    use culzss_gpusim::DeviceSpec;
-
-    let data = Dataset::DeMap.generate(SIZE, SEED);
-    let params = CulzssParams::v2();
-
-    let single = Culzss::new(Version::V2).with_workers(2);
-    let (single_stream, _) = single.compress(&data).unwrap();
-
-    let multi = MultiGpu::new(vec![DeviceSpec::gtx480(), DeviceSpec::c2050()]);
-    let chunks = params.chunk_count(data.len());
-    let result = multi
-        .launch_partitioned(chunks, params.threads_per_block, params.shared_bytes(), |range| {
-            culzss::kernel_v2::V2MatchKernel::new(&data, &params).with_chunk_offset(range.start)
-        })
-        .unwrap();
-    // Reassemble records in global chunk order and run the CPU selection.
-    let mut records = Vec::new();
-    for r in &result.per_device {
-        for block in &r.outputs {
-            records.push(block.clone());
-        }
-    }
-    let config = params.lzss_config();
-    let bodies: Vec<Vec<u8>> = data
-        .chunks(params.chunk_size)
-        .zip(&records)
-        .map(|(chunk, recs)| {
-            let matches: Vec<culzss::metered::PosMatch> = recs
-                .iter()
-                .map(|&(distance, length)| culzss::metered::PosMatch {
-                    distance,
-                    length,
-                    work: Default::default(),
-                })
-                .collect();
-            let tokens = culzss::metered::select_tokens(chunk, &matches, &config);
-            culzss_lzss::format::encode(&tokens, &config)
-        })
-        .collect();
-    let multi_stream = culzss_lzss::container::assemble_v2(
-        &config,
-        params.chunk_size as u32,
-        data.len() as u64,
-        culzss_lzss::container::stream_crc_of(&data, params.chunk_size as u32),
-        &bodies,
-    )
-    .unwrap();
-    assert_eq!(multi_stream, single_stream);
-}
