@@ -99,8 +99,8 @@ impl BlockKernel for V1Kernel<'_> {
             // the reads are sequential per lane, so Fermi's L1 turns them
             // into one transaction per cache line plus cached hits. This
             // assumes a line-padded chunk layout — naively 4 KB-aligned
-            // chunks would alias into one L1 set and thrash (see the
-            // teaching tests in culzss_gpusim::cache).
+            // chunks would alias into one L1 set and thrash (MODEL.md §2
+            // gives the hit rates of both layouts).
             t.global_bulk(chunk.len() as u64, 128, false);
             t.global_cached_bulk(chunk.len() as u64);
 

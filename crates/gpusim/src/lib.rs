@@ -75,7 +75,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod coalesce;
 pub mod cost;
 pub mod device;
