@@ -71,16 +71,40 @@ impl Default for MeasureCfg {
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(1)
             .max(1);
-        let finder = match std::env::var("CULZSS_FINDER").as_deref() {
-            Ok("hash") => FinderKind::HashChain,
-            _ => FinderKind::BruteForce,
-        };
-        let bwt = match std::env::var("CULZSS_BWT").as_deref() {
-            Ok("sais") => culzss_bzip2::bwt::Backend::SaIs,
-            _ => culzss_bzip2::bwt::Backend::Doubling,
-        };
+        let from_env = |var: &str| std::env::var(var).ok();
+        let finder = env_choice("CULZSS_FINDER", from_env("CULZSS_FINDER").as_deref(), &FINDERS)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let bwt = env_choice("CULZSS_BWT", from_env("CULZSS_BWT").as_deref(), &BWT_BACKENDS)
+            .unwrap_or_else(|e| panic!("{e}"));
         Self { bytes: mb << 20, seed: 0xC0DE_2011, reps, finder, bwt }
     }
+}
+
+/// Accepted `CULZSS_FINDER` values; the first is the default.
+const FINDERS: [(&str, FinderKind); 2] =
+    [("brute", FinderKind::BruteForce), ("hash", FinderKind::HashChain)];
+
+/// Accepted `CULZSS_BWT` values; the first is the default.
+const BWT_BACKENDS: [(&str, culzss_bzip2::bwt::Backend); 2] = [
+    ("doubling", culzss_bzip2::bwt::Backend::Doubling),
+    ("sais", culzss_bzip2::bwt::Backend::SaIs),
+];
+
+/// Maps the value of environment variable `var` through `accepted`. Unset
+/// selects the first entry; any other value is an error naming the
+/// accepted ones, so a typo cannot silently measure the default.
+fn env_choice<T: Copy>(
+    var: &str,
+    value: Option<&str>,
+    accepted: &[(&str, T)],
+) -> Result<T, String> {
+    let Some(value) = value else {
+        return Ok(accepted[0].1);
+    };
+    accepted.iter().find(|(name, _)| *name == value).map(|&(_, choice)| choice).ok_or_else(|| {
+        let names: Vec<&str> = accepted.iter().map(|(name, _)| *name).collect();
+        format!("{var}={value:?} is not recognised; accepted values: {}", names.join(", "))
+    })
 }
 
 impl MeasureCfg {
@@ -354,6 +378,20 @@ mod tests {
         assert_eq!(fig.pthread, 5.0);
         assert_eq!(fig.bzip2, 2.5);
         assert!((fig.v2 - 12.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn env_choices_reject_unknown_values() {
+        assert_eq!(env_choice("CULZSS_FINDER", None, &FINDERS), Ok(FinderKind::BruteForce));
+        assert_eq!(env_choice("CULZSS_FINDER", Some("hash"), &FINDERS), Ok(FinderKind::HashChain));
+        assert_eq!(
+            env_choice("CULZSS_BWT", Some("sais"), &BWT_BACKENDS),
+            Ok(culzss_bzip2::bwt::Backend::SaIs)
+        );
+        let err = env_choice("CULZSS_FINDER", Some("kmp"), &FINDERS).unwrap_err();
+        assert!(err.contains("CULZSS_FINDER") && err.contains("brute, hash"), "{err}");
+        let err = env_choice("CULZSS_BWT", Some("qsort"), &BWT_BACKENDS).unwrap_err();
+        assert!(err.contains("doubling, sais"), "{err}");
     }
 
     #[test]
