@@ -18,14 +18,22 @@
 //! Both generations must keep decoding, and both emitters must stay
 //! byte-exact.
 //!
+//! `tests/golden/counters.txt` pins the simulator's modelled counters
+//! the same way: every [`LaunchStats::counters`] value plus the modelled
+//! `host_cycles` of V1/V2/V3 compression and of serial/warp decoding of
+//! the fixture input, compared bit for bit (f64 bits). Host-side
+//! speedups of the simulator must leave every one of them unchanged.
+//!
 //! An intentional format change must regenerate the fixtures — run
 //! `cargo test --test golden -- --ignored regenerate` — and call out the
-//! compatibility break in the change description.
+//! compatibility break in the change description. The same holds for an
+//! intentional change to the cost model or a kernel's metering.
 
 use std::path::PathBuf;
 
-use culzss::{Culzss, CulzssParams, DecodeEngine, Version};
+use culzss::{Culzss, CulzssParams, DecodeEngine, PipelineStats, Version};
 use culzss_datasets::Dataset;
+use culzss_gpusim::exec::LaunchStats;
 use culzss_gpusim::DeviceSpec;
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::container::ContainerVersion;
@@ -40,6 +48,10 @@ fn fixture_input() -> Vec<u8> {
 
 fn fixture_path(engine: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{engine}.bin"))
+}
+
+fn counters_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/counters.txt")
 }
 
 fn read_fixture(engine: &str) -> Vec<u8> {
@@ -212,6 +224,54 @@ fn golden_streams_decode_identically_through_both_decode_engines() {
     }
 }
 
+/// One line per modelled counter: `<run> <counter> <f64 bits> <value>`.
+/// The bits column is what the comparison pins; the decimal value is
+/// there for a human reading a diff.
+fn counter_lines(run: &str, stats: &PipelineStats, out: &mut String) {
+    let launch: &LaunchStats = stats.launch.as_ref().expect("GPU run without launch stats");
+    let mut counters = launch.counters();
+    counters.push(("host_cycles", stats.host_cycles));
+    for (name, value) in counters {
+        out.push_str(&format!("{run} {name} {:#018x} {value:?}\n", value.to_bits()));
+    }
+}
+
+/// The modelled counters of every GPU engine on the fixture input:
+/// V1/V2/V3 compression, then serial and warp decoding of the V1 and V2
+/// streams (V3's stream is V2's, byte for byte).
+fn counters_snapshot() -> String {
+    let input = fixture_input();
+    let mut out = String::new();
+    let mut streams = Vec::new();
+    for (name, version) in [("v1", Version::V1), ("v2", Version::V2), ("v3", Version::V3)] {
+        let (stream, stats) = Culzss::new(version).with_workers(2).compress(&input).unwrap();
+        counter_lines(&format!("{name}.compress"), &stats, &mut out);
+        streams.push((name, version, stream));
+    }
+    for (name, version, stream) in &streams[..2] {
+        for engine in [DecodeEngine::Serial, DecodeEngine::WarpParallel] {
+            let codec = Culzss::new(*version).with_workers(2).with_decode_engine(engine);
+            let (restored, stats) = codec.decompress(stream).unwrap();
+            assert_eq!(restored, input, "[{name}] {} decode diverged", engine.name());
+            counter_lines(&format!("{name}.decode_{}", engine.name()), &stats, &mut out);
+        }
+    }
+    out
+}
+
+#[test]
+fn modelled_counters_match_the_pinned_fixture() {
+    let path = counters_path();
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing counter fixture {} — regenerate with the ignored test: {e}", path.display())
+    });
+    let fresh = counters_snapshot();
+    for (line, (want, got)) in golden.lines().zip(fresh.lines()).enumerate() {
+        assert_eq!(got, want, "modelled counter drifted (line {})", line + 1);
+    }
+    assert_eq!(fresh.lines().count(), golden.lines().count(), "counter set changed");
+}
+
 /// Rewrites every fixture from the current encoders. Ignored by default;
 /// run explicitly after an intentional format change:
 /// `cargo test --test golden -- --ignored regenerate`.
@@ -225,4 +285,5 @@ fn regenerate_golden_fixtures() {
         assert_eq!(decode(&stream), input, "[{engine}] refusing to write a broken fixture");
         std::fs::write(fixture_path(engine), &stream).unwrap();
     }
+    std::fs::write(counters_path(), counters_snapshot()).unwrap();
 }
