@@ -8,8 +8,16 @@
 //! accesses are serialized". The analytics below are applied to logged
 //! per-warp access lists (exact path) and reused in closed form by the bulk
 //! metering helpers (fast path).
+//!
+//! The exact analysis allocates nothing for an ordinary warp: each
+//! instruction's accesses become word (or segment) spans in a stack
+//! buffer, which are sorted and merged, and the distinct words of the
+//! merged spans are counted per bank in a fixed array. Only an
+//! instruction wider than 64 lanes, or a device with more than 64 banks,
+//! spills its scratch to the heap.
 
-use std::collections::HashMap;
+/// Lanes, and banks, whose scratch fits on the stack.
+const INLINE: usize = 64;
 
 /// One logged memory access: starting byte address and width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +28,96 @@ pub struct Access {
     pub bytes: u32,
 }
 
+/// Runs `f` on the sorted, disjoint, non-adjacent `unit`-sized spans that
+/// `accesses` touch (`unit` a power of two). Zero-width accesses touch
+/// nothing.
+fn with_merged_spans<R>(accesses: &[Access], unit: u64, f: impl FnOnce(&[(u64, u64)]) -> R) -> R {
+    debug_assert!(unit.is_power_of_two());
+    let shift = unit.trailing_zeros();
+    let mut inline = [(0u64, 0u64); INLINE];
+    let mut spilled = Vec::new();
+    let buf = if accesses.len() <= INLINE {
+        &mut inline[..accesses.len()]
+    } else {
+        spilled.resize(accesses.len(), (0, 0));
+        &mut spilled[..]
+    };
+    // Merge while the spans arrive in order (lanes usually log ascending
+    // addresses); a scattered instruction is sorted and merged after.
+    let mut n = 0;
+    let mut sorted = true;
+    for a in accesses.iter().filter(|a| a.bytes > 0) {
+        let (first, last) = (a.addr >> shift, (a.addr + u64::from(a.bytes) - 1) >> shift);
+        if n > 0 && sorted {
+            let prev = &mut buf[n - 1];
+            if first >= prev.0 && first <= prev.1.saturating_add(1) {
+                prev.1 = prev.1.max(last);
+                continue;
+            }
+            sorted = first > prev.1;
+        }
+        buf[n] = (first, last);
+        n += 1;
+    }
+    let spans = &mut buf[..n];
+    let mut merged = n;
+    if !sorted {
+        spans.sort_unstable();
+        merged = 0;
+        for i in 0..n {
+            let (first, last) = spans[i];
+            if merged > 0 && first <= spans[merged - 1].1.saturating_add(1) {
+                spans[merged - 1].1 = spans[merged - 1].1.max(last);
+            } else {
+                spans[merged] = (first, last);
+                merged += 1;
+            }
+        }
+    }
+    f(&spans[..merged])
+}
+
+/// Maximum over banks of the number of distinct words mapped to each —
+/// the serialized cycles of one shared-memory instruction. `spans` are
+/// inclusive word ranges that must not overlap (every word is counted
+/// once per span it lies in). No spans means no access: 0 cycles.
+fn max_words_per_bank(spans: impl IntoIterator<Item = (u64, u64)>, banks: u64) -> u64 {
+    let mut inline = [0u64; INLINE];
+    let mut spilled = Vec::new();
+    let extra = if banks as usize <= INLINE {
+        &mut inline[..banks as usize]
+    } else {
+        spilled.resize(banks as usize, 0);
+        &mut spilled[..]
+    };
+    // A span of `len` words gives every bank `len / banks` words, plus one
+    // more to the `len % banks` banks starting at its first word's bank.
+    let bank_of = |word: u64| {
+        if banks.is_power_of_two() {
+            word & (banks - 1)
+        } else {
+            word % banks
+        }
+    };
+    let mut full_rounds = 0u64;
+    for (first, last) in spans {
+        let mut len = last - first + 1;
+        if len >= banks {
+            full_rounds += len / banks;
+            len %= banks;
+        }
+        let mut bank = bank_of(first) as usize;
+        for _ in 0..len {
+            extra[bank] += 1;
+            bank += 1;
+            if bank == extra.len() {
+                bank = 0;
+            }
+        }
+    }
+    full_rounds + extra.iter().copied().max().unwrap_or(0)
+}
+
 /// Number of `segment_bytes`-aligned segments touched by one warp-wide
 /// memory instruction — i.e. the number of global-memory transactions it
 /// issues on Fermi-class hardware.
@@ -27,24 +125,9 @@ pub struct Access {
 /// `accesses` holds the per-thread accesses of a single warp instruction
 /// (at most `warp_size` entries; inactive threads are simply absent).
 pub fn transactions_for_warp(accesses: &[Access], segment_bytes: u64) -> u64 {
-    debug_assert!(segment_bytes.is_power_of_two());
-    if accesses.is_empty() {
-        return 0;
-    }
-    let mut segments: Vec<u64> = Vec::with_capacity(accesses.len());
-    for a in accesses {
-        if a.bytes == 0 {
-            continue;
-        }
-        let first = a.addr / segment_bytes;
-        let last = (a.addr + u64::from(a.bytes) - 1) / segment_bytes;
-        for s in first..=last {
-            segments.push(s);
-        }
-    }
-    segments.sort_unstable();
-    segments.dedup();
-    segments.len() as u64
+    with_merged_spans(accesses, segment_bytes, |spans| {
+        spans.iter().map(|&(first, last)| last - first + 1).sum()
+    })
 }
 
 /// Serialized shared-memory cycles for one warp-wide access instruction.
@@ -56,27 +139,12 @@ pub fn transactions_for_warp(accesses: &[Access], segment_bytes: u64) -> u64 {
 /// cycles, i.e. `1` for a conflict-free access, `n` for an `n`-way
 /// conflict.
 pub fn shared_conflict_cycles(accesses: &[Access], banks: u64) -> u64 {
-    if accesses.is_empty() {
-        return 0;
-    }
-    // bank -> set of distinct word addresses (small; use a map of counts).
-    let mut words_per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
-    for a in accesses {
-        if a.bytes == 0 {
-            continue;
-        }
-        // A wider access touches each of its words.
-        let first_word = a.addr / 4;
-        let last_word = (a.addr + u64::from(a.bytes) - 1) / 4;
-        for w in first_word..=last_word {
-            let bank = w % banks;
-            let words = words_per_bank.entry(bank).or_default();
-            if !words.contains(&w) {
-                words.push(w);
-            }
-        }
-    }
-    words_per_bank.values().map(|w| w.len() as u64).max().unwrap_or(0)
+    // A wider access touches each of its words.
+    with_merged_spans(accesses, 4, |spans| match (spans.first(), spans.last()) {
+        // All words within `banks` consecutive words: no two share a bank.
+        (Some(&(first, _)), Some(&(_, last))) if last - first < banks => 1,
+        _ => max_words_per_bank(spans.iter().copied(), banks),
+    })
 }
 
 /// Closed-form transaction count for `threads` threads each accessing
@@ -128,19 +196,15 @@ pub fn strided_transactions(
 /// the V2 staggered layout ("an offset of 4 characters … distance" — no
 /// conflicts).
 pub fn strided_conflict_ways(threads: u64, stride_bytes: u64, banks: u64) -> u64 {
-    if threads == 0 {
-        return 0;
-    }
-    let mut per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
-    for t in 0..threads {
-        let word = (t * stride_bytes) / 4;
-        let bank = word % banks;
-        let words = per_bank.entry(bank).or_default();
-        if !words.contains(&word) {
-            words.push(word);
-        }
-    }
-    per_bank.values().map(|w| w.len() as u64).max().unwrap_or(1)
+    // Words are non-decreasing in `tid`, so dropping repeats of the
+    // previous word leaves each distinct word exactly once.
+    let mut words = (0..threads).map(|t| (t * stride_bytes) / 4).peekable();
+    let distinct = std::iter::from_fn(|| {
+        let w = words.next()?;
+        while words.next_if_eq(&w).is_some() {}
+        Some((w, w))
+    });
+    max_words_per_bank(distinct, banks)
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! * **exact** — `global_read`/`shared_read` log individual accesses; at
 //!   the barrier, the k-th access of each thread in a warp is treated as
 //!   one warp-wide memory instruction (the standard lockstep
-//!   approximation) and analyzed for coalescing/conflicts.
+//!   approximation) and analyzed for coalescing/conflicts. Its host
+//!   cost is one sort-and-merge of that instruction's (at most 32) spans
+//!   in stack scratch, with no allocation per instruction (see
+//!   [`crate::coalesce`]), so it grows with the logged accesses only.
 //! * **bulk** — hot inner loops declare their aggregate pattern
 //!   (`charge_ops`, `shared_bulk`, `global_bulk`); the same formulas are
 //!   applied in closed form. This keeps simulation time proportional to
@@ -77,6 +80,35 @@ impl BlockMetrics {
     }
 }
 
+/// Reused buffers for splitting one warp's per-lane access logs into
+/// warp-wide instructions.
+#[derive(Debug, Default)]
+struct WarpScratch {
+    /// Lanes that logged more than the current instruction index.
+    active: Vec<usize>,
+    /// The instruction being analyzed.
+    instruction: Vec<Access>,
+}
+
+impl WarpScratch {
+    /// Hands `analyze` each warp-wide instruction of one warp, in order:
+    /// the k-th logged access of every lane (in lane order) that logged
+    /// more than k accesses. Lanes that have run out are dropped, so a
+    /// sparse phase costs its logged accesses, not lanes × instructions.
+    fn for_each_instruction(&mut self, lanes: &[Vec<Access>], mut analyze: impl FnMut(&[Access])) {
+        self.active.clear();
+        self.active.extend((0..lanes.len()).filter(|&l| !lanes[l].is_empty()));
+        let mut k = 0;
+        while !self.active.is_empty() {
+            self.instruction.clear();
+            self.instruction.extend(self.active.iter().map(|&l| lanes[l][k]));
+            analyze(&self.instruction);
+            k += 1;
+            self.active.retain(|&l| lanes[l].len() > k);
+        }
+    }
+}
+
 /// Live metering state for one executing block.
 #[derive(Debug)]
 pub struct BlockMeter {
@@ -88,6 +120,8 @@ pub struct BlockMeter {
     phase_global: Vec<Vec<Access>>,
     /// Per-thread logged shared accesses for the current phase.
     phase_shared: Vec<Vec<Access>>,
+    /// Reused buffers for the barrier-time warp analysis.
+    scratch: WarpScratch,
     metrics: BlockMetrics,
     transaction_bytes: u64,
     shared_banks: u64,
@@ -109,6 +143,7 @@ impl BlockMeter {
             phase_ops: vec![0; block_dim],
             phase_global: vec![Vec::new(); block_dim],
             phase_shared: vec![Vec::new(); block_dim],
+            scratch: WarpScratch::default(),
             metrics: BlockMetrics { blocks: 1, block_dim, ..BlockMetrics::default() },
             transaction_bytes: transaction_bytes as u64,
             shared_banks: shared_banks as u64,
@@ -214,33 +249,16 @@ impl BlockMeter {
         // Coalescing: the k-th logged access of each lane forms one
         // warp-wide memory instruction.
         let warps = self.block_dim.div_ceil(self.warp_size);
-        let mut instruction: Vec<Access> = Vec::with_capacity(self.warp_size);
         for w in 0..warps {
             let lanes = w * self.warp_size..((w + 1) * self.warp_size).min(self.block_dim);
-
-            let max_global = lanes.clone().map(|t| self.phase_global[t].len()).max().unwrap_or(0);
-            for k in 0..max_global {
-                instruction.clear();
-                for t in lanes.clone() {
-                    if let Some(a) = self.phase_global[t].get(k) {
-                        instruction.push(*a);
-                    }
-                }
+            self.scratch.for_each_instruction(&self.phase_global[lanes.clone()], |instruction| {
                 self.metrics.global_transactions +=
-                    transactions_for_warp(&instruction, self.transaction_bytes) as f64;
-            }
-
-            let max_shared = lanes.clone().map(|t| self.phase_shared[t].len()).max().unwrap_or(0);
-            for k in 0..max_shared {
-                instruction.clear();
-                for t in lanes.clone() {
-                    if let Some(a) = self.phase_shared[t].get(k) {
-                        instruction.push(*a);
-                    }
-                }
+                    transactions_for_warp(instruction, self.transaction_bytes) as f64;
+            });
+            self.scratch.for_each_instruction(&self.phase_shared[lanes], |instruction| {
                 self.metrics.shared_cycles +=
-                    shared_conflict_cycles(&instruction, self.shared_banks) as f64;
-            }
+                    shared_conflict_cycles(instruction, self.shared_banks) as f64;
+            });
         }
         for v in &mut self.phase_global {
             v.clear();

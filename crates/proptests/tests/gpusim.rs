@@ -5,6 +5,10 @@
 //!   instruction; adding an access never reduces the count; the closed
 //!   forms agree with the exact analysis on uniform strides;
 //! * bank conflicts: 1 ≤ ways ≤ min(warp, banks); broadcast is free;
+//! * the exact analysis equals a naive set-based oracle (segments touched;
+//!   max over banks of distinct words) on zero-width, wide, overlapping,
+//!   in-order and scattered instructions, wider than 64 lanes too, for
+//!   16, 32 and 48 banks;
 //! * occupancy: fraction ∈ (0, 1], monotone in grid size;
 //! * cost: more work never costs fewer cycles; determinism.
 
@@ -17,6 +21,7 @@ use culzss_gpusim::device::DeviceSpec;
 use culzss_gpusim::meter::BlockMetrics;
 use culzss_gpusim::occupancy::occupancy;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn accesses() -> impl Strategy<Value = Vec<Access>> {
     proptest::collection::vec(
@@ -25,8 +30,73 @@ fn accesses() -> impl Strategy<Value = Vec<Access>> {
     )
 }
 
+/// Warp instructions of up to 100 lanes mixing every access shape the
+/// analysis has to get right: zero-width and multi-segment accesses,
+/// lanes sharing words, lanes in ascending order (merged as they come)
+/// and scattered ones (sorted first).
+fn instructions() -> impl Strategy<Value = Vec<Access>> {
+    let access = prop_oneof![
+        // Narrow and clustered: heavy overlap, zero-width included.
+        (0u64..512, 0u32..9).prop_map(|(addr, bytes)| Access { addr, bytes }),
+        // Wide: spans several words, segments and bank rounds.
+        (0u64..1 << 14, 0u32..600).prop_map(|(addr, bytes)| Access { addr, bytes }),
+    ];
+    prop_oneof![
+        proptest::collection::vec(access, 0..100),
+        (0u64..4096, 0u64..160, 0u32..40, 0u64..100).prop_map(|(base, stride, bytes, lanes)| {
+            (0..lanes).map(|t| Access { addr: base + t * stride, bytes }).collect()
+        }),
+    ]
+}
+
+/// Every `unit`-sized block the instruction touches.
+fn oracle_units(acc: &[Access], unit: u64) -> BTreeSet<u64> {
+    acc.iter()
+        .filter(|a| a.bytes > 0)
+        .flat_map(|a| a.addr / unit..=(a.addr + u64::from(a.bytes) - 1) / unit)
+        .collect()
+}
+
+/// Reference bank-conflict degree: distinct words per bank, maximized.
+fn oracle_conflicts(acc: &[Access], banks: u64) -> u64 {
+    let mut per_bank: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for word in oracle_units(acc, 4) {
+        per_bank.entry(word % banks).or_default().insert(word);
+    }
+    per_bank.values().map(|words| words.len() as u64).max().unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn transactions_equal_the_set_oracle(
+        acc in instructions(),
+        segment in prop_oneof![Just(32u64), Just(64), Just(128)],
+    ) {
+        prop_assert_eq!(
+            transactions_for_warp(&acc, segment),
+            oracle_units(&acc, segment).len() as u64
+        );
+    }
+
+    #[test]
+    fn conflicts_equal_the_set_oracle(
+        acc in instructions(),
+        banks in prop_oneof![Just(16u64), Just(32), Just(48)],
+    ) {
+        prop_assert_eq!(shared_conflict_cycles(&acc, banks), oracle_conflicts(&acc, banks));
+    }
+
+    #[test]
+    fn strided_conflicts_equal_the_set_oracle(
+        threads in 0u64..100,
+        stride in 0u64..300,
+        banks in prop_oneof![Just(16u64), Just(32), Just(48)],
+    ) {
+        let acc: Vec<Access> = (0..threads).map(|t| Access { addr: t * stride, bytes: 1 }).collect();
+        prop_assert_eq!(strided_conflict_ways(threads, stride, banks), oracle_conflicts(&acc, banks));
+    }
 
     #[test]
     fn transactions_bounded(acc in accesses()) {
