@@ -56,34 +56,118 @@ impl Work {
 /// Brute-force longest-match search at `pos`, identical in result to
 /// [`culzss_lzss::matchfind::BruteForce`], but also counting work.
 /// Matches never cross the chunk boundary (the slice *is* the chunk).
+///
+/// The modelled search visits candidates from `pos - 1` down to the
+/// window start, comparing bytes until a mismatch or the length limit,
+/// and stops early at the first maximal match. Its [`Work`] is that of
+/// this byte loop: every visited candidate costs one compared pair (its
+/// first byte), and a candidate whose first byte matches adds its match
+/// length, less one when the match stopped at the limit rather than on a
+/// mismatch. The host gets there faster than the loop would: it tests
+/// the first two bytes of eight candidates at a time, counts the
+/// candidates that match on one byte only, and measures the remaining
+/// match lengths eight bytes at a time. `min_match >= 2` (as
+/// [`LzssConfig::validate`] requires), so a one-byte match is never the
+/// result.
 pub fn search_position(
     chunk: &[u8],
     pos: usize,
     config: &LzssConfig,
 ) -> (Option<FoundMatch>, Work) {
+    debug_assert!(config.min_match >= 2);
     let window_start = pos.saturating_sub(config.window_size);
-    let mut work = Work::default();
-    let mut best: Option<FoundMatch> = None;
     let limit = config.max_match.min(chunk.len() - pos);
-    let mut candidate = pos;
-    while candidate > window_start {
-        candidate -= 1;
-        work.candidates += 1;
-        let mut len = 0usize;
-        while len < limit && chunk[candidate + len] == chunk[pos + len] {
-            len += 1;
-        }
-        // Compared bytes: every matched byte plus the mismatching pair
-        // (when the loop stopped on a mismatch rather than the limit).
-        work.compared_bytes += (len + usize::from(len < limit)) as u64;
+    if limit < 2 {
+        // Every candidate compares `limit` bytes, and none can match.
+        let candidates = (pos - window_start) as u64;
+        return (None, Work { compared_bytes: candidates * limit as u64, candidates });
+    }
+    let mut best: Option<FoundMatch> = None;
+    let mut lowest = window_start;
+    // Σ over first-byte hits of (len − [len == limit]), split into the
+    // hits that stop at the second byte (each adds 1, as limit ≥ 2) and
+    // those measured one by one.
+    let mut one_byte_hits = 0u64;
+    let mut longer_hit_bytes = 0u64;
+    let mut visit = |candidate: usize| {
+        let len = match_length(chunk, candidate, pos, limit);
+        longer_hit_bytes += (len - usize::from(len == limit)) as u64;
         if len >= config.min_match && best.is_none_or(|b| len > b.length) {
             best = Some(FoundMatch { distance: pos - candidate, length: len });
             if len == config.max_match {
-                break;
+                lowest = candidate;
+                return true;
+            }
+        }
+        false
+    };
+    let (first, second) = (chunk[pos], chunk[pos + 1]);
+    let (first_x8, second_x8) = (u64::from(first) * LOW_BYTES, u64::from(second) * LOW_BYTES);
+    let mut end = pos;
+    'scan: {
+        while end - window_start >= 8 {
+            end -= 8;
+            // Byte k flags candidate `end + k`; `chunk[end + 1..end + 9]`
+            // holds their second bytes (end + 9 <= pos + 1 < chunk.len()).
+            let hits = zero_bytes(load_u64(chunk, end) ^ first_x8);
+            let mut longer = hits & zero_bytes(load_u64(chunk, end + 1) ^ second_x8);
+            let one_byte = hits & !longer;
+            while longer != 0 {
+                let byte = (63 - longer.leading_zeros()) as usize / 8;
+                if visit(end + byte) {
+                    // Only candidates above the stopping one were visited.
+                    one_byte_hits += u64::from((one_byte >> (8 * byte) >> 8).count_ones());
+                    break 'scan;
+                }
+                longer &= !(0x80 << (8 * byte));
+            }
+            one_byte_hits += u64::from(one_byte.count_ones());
+        }
+        for candidate in (window_start..end).rev() {
+            if chunk[candidate] == first {
+                if chunk[candidate + 1] != second {
+                    one_byte_hits += 1;
+                } else if visit(candidate) {
+                    break 'scan;
+                }
             }
         }
     }
-    (best, work)
+    let candidates = (pos - lowest) as u64;
+    let compared_bytes = candidates + one_byte_hits + longer_hit_bytes;
+    (best, Work { compared_bytes, candidates })
+}
+
+/// `0x01` in every byte.
+const LOW_BYTES: u64 = u64::MAX / 255;
+
+/// `0x80` in each byte of `word` that is zero, `0x00` in every other
+/// byte (exact: no borrow crosses a byte).
+fn zero_bytes(word: u64) -> u64 {
+    let high = LOW_BYTES * 0x80;
+    !(((word & !high) + !high) | word | !high)
+}
+
+/// The eight bytes at `at`, little-endian.
+fn load_u64(chunk: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(chunk[at..at + 8].try_into().unwrap())
+}
+
+/// Length of the common prefix of `chunk[candidate..]` and
+/// `chunk[pos..]`, capped at `limit` (`pos + limit <= chunk.len()`).
+fn match_length(chunk: &[u8], candidate: usize, pos: usize, limit: usize) -> usize {
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = load_u64(chunk, candidate + len) ^ load_u64(chunk, pos + len);
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    while len < limit && chunk[candidate + len] == chunk[pos + len] {
+        len += 1;
+    }
+    len
 }
 
 /// Greedy parse with skipping — the serial/V1 processing order: matched
