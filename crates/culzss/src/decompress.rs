@@ -156,12 +156,21 @@ pub fn offset_table(tokens: &[Token]) -> Vec<usize> {
 /// Dependency wavefront levels for pass 2: literals are level 0; a match
 /// is one level above the deepest token producing any of its source bytes
 /// *before* its own start (self-overlapping bytes resolve in-lane).
-/// Returns per-token levels plus the maximum, which is the number of
-/// barrier-separated copy rounds the kernel executes.
-fn dependency_levels(tokens: &[Token], offsets: &[usize], total: usize) -> (Vec<u32>, u32) {
+///
+/// Returns the per-token levels and the copy order: every match index,
+/// sorted by (level, lane `i % block_dim`, `i`). Copy round `r` is then
+/// one contiguous run of the order, and each lane's share of it one
+/// contiguous sub-run in ascending token order. The last entry's level is
+/// the number of barrier-separated copy rounds the kernel executes.
+fn dependency_levels(
+    tokens: &[Token],
+    offsets: &[usize],
+    total: usize,
+    block_dim: usize,
+) -> (Vec<u32>, Vec<u32>) {
     let mut producer = vec![0u32; total];
     let mut level = vec![0u32; tokens.len()];
-    let mut max_level = 0u32;
+    let mut matches = 0usize;
     for (i, t) in tokens.iter().enumerate() {
         let start = offsets[i];
         let cover = t.coverage();
@@ -172,13 +181,19 @@ fn dependency_levels(tokens: &[Token], offsets: &[usize], total: usize) -> (Vec<
                 .max()
                 .unwrap_or(0);
             level[i] = deepest + 1;
-            max_level = max_level.max(level[i]);
+            matches += 1;
         }
         for slot in producer.iter_mut().skip(start).take(cover) {
             *slot = i as u32;
         }
     }
-    (level, max_level)
+    // The producer map is dead; free it before the order takes its place
+    // so the block's peak heap does not grow.
+    drop(producer);
+    let mut order = Vec::with_capacity(matches);
+    order.extend((0..tokens.len() as u32).filter(|&i| level[i as usize] > 0));
+    order.sort_unstable_by_key(|&i| (level[i as usize], i as usize % block_dim, i));
+    (level, order)
 }
 
 /// The two-pass warp-parallel decompression kernel: grid = chunk count.
@@ -242,7 +257,8 @@ impl BlockKernel for WarpDecompressKernel<'_> {
         let groups = n_tokens.div_ceil(8).max(1);
         let block_dim = block.block_dim;
         let offsets = offset_table(&tokens);
-        let (levels, max_level) = dependency_levels(&tokens, &offsets, out.len());
+        let (levels, order) = dependency_levels(&tokens, &offsets, out.len(), block_dim);
+        let max_level = order.last().map_or(0, |&i| levels[i as usize]);
 
         // Shared arena layout (see type docs).
         let offs_base = 0u64;
@@ -348,13 +364,21 @@ impl BlockKernel for WarpDecompressKernel<'_> {
         // dependency order. A match at level r only reads bytes written
         // at levels < r (earlier phases) or by its own lane (overlap), so
         // each round is race-free; the barrier between rounds is the real
-        // cost of deep chains and is charged per round.
+        // cost of deep chains and is charged per round. Each lane visits
+        // just its own matches of the round, in ascending token order —
+        // the same per-lane access sequence as striding the whole token
+        // list and skipping other levels, so the metered instructions
+        // are the same.
+        let mut pending = &order[..];
         for round in 1..=max_level {
+            let split = pending.partition_point(|&i| levels[i as usize] == round);
+            let (this_round, later) = pending.split_at(split);
+            pending = later;
             block.par_threads(|t| {
-                for i in (t.tid..n_tokens).step_by(block_dim) {
-                    if levels[i] != round {
-                        continue;
-                    }
+                let lo = this_round.partition_point(|&i| (i as usize) % block_dim < t.tid);
+                let hi = this_round.partition_point(|&i| (i as usize) % block_dim <= t.tid);
+                for &i in &this_round[lo..hi] {
+                    let i = i as usize;
                     if let Token::Match { distance, .. } = &tokens[i] {
                         let start = offsets[i] as u64;
                         let src_start = start - u64::from(*distance);
