@@ -369,15 +369,21 @@ impl BlockKernel for WarpDecompressKernel<'_> {
         // the same per-lane access sequence as striding the whole token
         // list and skipping other levels, so the metered instructions
         // are the same.
+        let lane_of = |i: u32| i as usize % block_dim;
         let mut pending = &order[..];
         for round in 1..=max_level {
             let split = pending.partition_point(|&i| levels[i as usize] == round);
             let (this_round, later) = pending.split_at(split);
             pending = later;
+            // Lanes run in tid order, so each lane's run starts where the
+            // runs of the lanes before it ended.
+            let mut next = 0;
             block.par_threads(|t| {
-                let lo = this_round.partition_point(|&i| (i as usize) % block_dim < t.tid);
-                let hi = this_round.partition_point(|&i| (i as usize) % block_dim <= t.tid);
-                for &i in &this_round[lo..hi] {
+                let rest = &this_round[next..];
+                let skip = rest.iter().take_while(|&&i| lane_of(i) < t.tid).count();
+                let mine = rest[skip..].iter().take_while(|&&i| lane_of(i) == t.tid).count();
+                next += skip + mine;
+                for &i in &rest[skip..skip + mine] {
                     let i = i as usize;
                     if let Token::Match { distance, .. } = &tokens[i] {
                         let start = offsets[i] as u64;

@@ -34,6 +34,11 @@ pub struct Access {
 fn with_merged_spans<R>(accesses: &[Access], unit: u64, f: impl FnOnce(&[(u64, u64)]) -> R) -> R {
     debug_assert!(unit.is_power_of_two());
     let shift = unit.trailing_zeros();
+    let span_of = |a: &Access| (a.addr >> shift, (a.addr + u64::from(a.bytes) - 1) >> shift);
+    // One lane (single-thread phases): nothing to sort or merge.
+    if let [a] = accesses {
+        return if a.bytes == 0 { f(&[]) } else { f(&[span_of(a)]) };
+    }
     let mut inline = [(0u64, 0u64); INLINE];
     let mut spilled = Vec::new();
     let buf = if accesses.len() <= INLINE {
@@ -46,17 +51,22 @@ fn with_merged_spans<R>(accesses: &[Access], unit: u64, f: impl FnOnce(&[(u64, u
     // addresses); a scattered instruction is sorted and merged after.
     let mut n = 0;
     let mut sorted = true;
+    let mut open: Option<(u64, u64)> = None;
     for a in accesses.iter().filter(|a| a.bytes > 0) {
-        let (first, last) = (a.addr >> shift, (a.addr + u64::from(a.bytes) - 1) >> shift);
-        if n > 0 && sorted {
-            let prev = &mut buf[n - 1];
-            if first >= prev.0 && first <= prev.1.saturating_add(1) {
-                prev.1 = prev.1.max(last);
+        let (first, last) = span_of(a);
+        if let Some((open_first, open_last)) = open {
+            if sorted && first >= open_first && first <= open_last.saturating_add(1) {
+                open = Some((open_first, open_last.max(last)));
                 continue;
             }
-            sorted = first > prev.1;
+            sorted &= first > open_last;
+            buf[n] = (open_first, open_last);
+            n += 1;
         }
-        buf[n] = (first, last);
+        open = Some((first, last));
+    }
+    if let Some(span) = open {
+        buf[n] = span;
         n += 1;
     }
     let spans = &mut buf[..n];
@@ -82,7 +92,11 @@ fn with_merged_spans<R>(accesses: &[Access], unit: u64, f: impl FnOnce(&[(u64, u
 /// inclusive word ranges that must not overlap (every word is counted
 /// once per span it lies in). No spans means no access: 0 cycles.
 fn max_words_per_bank(spans: impl IntoIterator<Item = (u64, u64)>, banks: u64) -> u64 {
-    let mut inline = [0u64; INLINE];
+    // A span of `len` words gives every bank `len / banks` words, plus one
+    // more to the `len % banks` banks starting at its first word's bank.
+    // Those extras are tallied per bank; each span adds at most one to a
+    // bank, so a tally never exceeds the span count.
+    let mut inline = [0u32; INLINE];
     let mut spilled = Vec::new();
     let extra = if banks as usize <= INLINE {
         &mut inline[..banks as usize]
@@ -90,32 +104,25 @@ fn max_words_per_bank(spans: impl IntoIterator<Item = (u64, u64)>, banks: u64) -
         spilled.resize(banks as usize, 0);
         &mut spilled[..]
     };
-    // A span of `len` words gives every bank `len / banks` words, plus one
-    // more to the `len % banks` banks starting at its first word's bank.
-    let bank_of = |word: u64| {
-        if banks.is_power_of_two() {
-            word & (banks - 1)
-        } else {
-            word % banks
-        }
-    };
     let mut full_rounds = 0u64;
+    let mut most_extra = 0u32;
     for (first, last) in spans {
         let mut len = last - first + 1;
         if len >= banks {
             full_rounds += len / banks;
             len %= banks;
         }
-        let mut bank = bank_of(first) as usize;
+        let mut bank = (first % banks) as usize;
         for _ in 0..len {
             extra[bank] += 1;
+            most_extra = most_extra.max(extra[bank]);
             bank += 1;
             if bank == extra.len() {
                 bank = 0;
             }
         }
     }
-    full_rounds + extra.iter().copied().max().unwrap_or(0)
+    full_rounds + u64::from(most_extra)
 }
 
 /// Number of `segment_bytes`-aligned segments touched by one warp-wide

@@ -100,6 +100,11 @@ impl WarpScratch {
         self.active.extend((0..lanes.len()).filter(|&l| !lanes[l].is_empty()));
         let mut k = 0;
         while !self.active.is_empty() {
+            if let [lane] = self.active[..] {
+                // One lane left: each remaining access is an instruction.
+                lanes[lane][k..].iter().for_each(|a| analyze(std::slice::from_ref(a)));
+                return;
+            }
             self.instruction.clear();
             self.instruction.extend(self.active.iter().map(|&l| lanes[l][k]));
             analyze(&self.instruction);

@@ -54,8 +54,12 @@ fn chunks() -> impl Strategy<Value = Vec<u8>> {
         (any::<u8>(), 0usize..400).prop_map(|(byte, len)| vec![byte; len]),
         // Periodic data: maximal matches at the period, partial ones
         // around it.
-        (proptest::collection::vec(any::<u8>(), 1..40), 1usize..60)
-            .prop_map(|(pat, reps)| pat.iter().cycle().take(pat.len() * reps).copied().collect()),
+        (proptest::collection::vec(any::<u8>(), 1..40), 1usize..60).prop_map(|(pat, reps)| pat
+            .iter()
+            .cycle()
+            .take(pat.len() * reps)
+            .copied()
+            .collect()),
     ]
 }
 
@@ -65,7 +69,12 @@ fn configs() -> [LzssConfig; 3] {
         CulzssParams::v2().lzss_config(),
         // A narrow window with long matches: windows shorter than eight
         // candidates and limits past one word.
-        LzssConfig { window_size: 13, min_match: 2, max_match: 40, ..CulzssParams::v2().lzss_config() },
+        LzssConfig {
+            window_size: 13,
+            min_match: 2,
+            max_match: 40,
+            ..CulzssParams::v2().lzss_config()
+        },
     ]
 }
 
