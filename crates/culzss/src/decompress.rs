@@ -364,11 +364,10 @@ impl BlockKernel for WarpDecompressKernel<'_> {
         // dependency order. A match at level r only reads bytes written
         // at levels < r (earlier phases) or by its own lane (overlap), so
         // each round is race-free; the barrier between rounds is the real
-        // cost of deep chains and is charged per round. Each lane visits
-        // just its own matches of the round, in ascending token order —
-        // the same per-lane access sequence as striding the whole token
-        // list and skipping other levels, so the metered instructions
-        // are the same.
+        // cost of deep chains and is charged per round. Each lane copies
+        // the round's matches `i ≡ tid (mod block_dim)` in ascending
+        // token order; the meter builds warp instructions from exactly
+        // that per-lane access order.
         let lane_of = |i: u32| i as usize % block_dim;
         let mut pending = &order[..];
         for round in 1..=max_level {

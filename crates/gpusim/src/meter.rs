@@ -13,9 +13,11 @@
 //!   the barrier, the k-th access of each thread in a warp is treated as
 //!   one warp-wide memory instruction (the standard lockstep
 //!   approximation) and analyzed for coalescing/conflicts. Its host
-//!   cost is one sort-and-merge of that instruction's (at most 32) spans
-//!   in stack scratch, with no allocation per instruction (see
-//!   [`crate::coalesce`]), so it grows with the logged accesses only.
+//!   cost is one sort-and-merge of that instruction's spans in stack
+//!   scratch (no sort when the lanes log in address order) and a
+//!   fixed-array bank tally, with no allocation per instruction (see
+//!   [`crate::coalesce`]). Lanes that logged nothing are skipped, so a
+//!   phase costs its logged accesses, not lanes × instructions.
 //! * **bulk** — hot inner loops declare their aggregate pattern
 //!   (`charge_ops`, `shared_bulk`, `global_bulk`); the same formulas are
 //!   applied in closed form. This keeps simulation time proportional to
