@@ -27,7 +27,6 @@
 //!   container v2 adds per-chunk, whole-stream and metadata CRC-32s.
 //! * [`crc`] — the bzip2-variant CRC-32 shared by the container v2
 //!   integrity layer and the `culzss-bzip2` codec.
-//! * [`stream`] — `std::io` adapters for whole-stream compression.
 //! * [`analyze`] — match statistics used by tests, docs and benches.
 //!
 //! ## Quick example
@@ -55,7 +54,6 @@ pub mod error;
 pub mod format;
 pub mod matchfind;
 pub mod serial;
-pub mod stream;
 pub mod token;
 
 pub use config::LzssConfig;
