@@ -635,7 +635,15 @@ mod auto_tests {
                     culzss_lzss::format::encode(&culzss_lzss::serial::tokenize(c, config), config)
                 })
                 .collect();
-            culzss_lzss::container::assemble(config, 4096, input.len() as u64, &bodies).unwrap()
+            culzss_lzss::container::assemble_with(
+                config,
+                4096,
+                input.len() as u64,
+                0,
+                &bodies,
+                culzss_lzss::container::ContainerVersion::V1,
+            )
+            .unwrap()
         }
     }
 

@@ -110,12 +110,13 @@ fn segment_boundaries_are_invisible_in_the_output() {
         .chunks(params.chunk_size)
         .map(|c| culzss_lzss::format::encode(&culzss_lzss::serial::tokenize(c, &config), &config))
         .collect();
-    let reference = culzss_lzss::container::assemble_v2(
+    let reference = culzss_lzss::container::assemble_with(
         &config,
         params.chunk_size as u32,
         input.len() as u64,
         culzss_lzss::container::stream_crc_of(&input, params.chunk_size as u32),
         &bodies,
+        culzss_lzss::container::ContainerVersion::V2,
     )
     .unwrap();
     assert_eq!(stream, reference);

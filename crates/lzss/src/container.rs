@@ -443,17 +443,6 @@ impl Container {
     }
 }
 
-/// Assembles a checksum-free (v1) container stream from per-chunk
-/// compressed bodies, byte-identical to pre-v2 output.
-pub fn assemble(
-    config: &LzssConfig,
-    chunk_size: u32,
-    total_len: u64,
-    chunk_bodies: &[Vec<u8>],
-) -> Result<Vec<u8>> {
-    assemble_with(config, chunk_size, total_len, 0, chunk_bodies, ContainerVersion::V1)
-}
-
 /// The v2 stream CRC of `input` when chunked at `chunk_size`: the CRC-32
 /// of each uncompressed chunk, folded in chunk order through
 /// [`crate::crc::combine`] (`stream.rotate_left(1) ^ chunk_crc`).
@@ -473,20 +462,11 @@ pub fn stream_crc_of(input: &[u8], chunk_size: u32) -> u32 {
     stream
 }
 
-/// Assembles a checksummed (v2) container stream. `stream_crc` must be
-/// the [`stream_crc_of`] fold of the *uncompressed* input the bodies
-/// encode, chunked at `chunk_size`.
-pub fn assemble_v2(
-    config: &LzssConfig,
-    chunk_size: u32,
-    total_len: u64,
-    stream_crc: u32,
-    chunk_bodies: &[Vec<u8>],
-) -> Result<Vec<u8>> {
-    assemble_with(config, chunk_size, total_len, stream_crc, chunk_bodies, ContainerVersion::V2)
-}
-
-/// Version-dispatching assembler; `stream_crc` is ignored for v1.
+/// Assembles a container stream from per-chunk compressed bodies in the
+/// requested `version`. `stream_crc` must be the [`stream_crc_of`] fold
+/// of the *uncompressed* input the bodies encode, chunked at
+/// `chunk_size`; it is ignored for [`ContainerVersion::V1`], whose
+/// output is byte-identical to pre-checksum streams.
 pub fn assemble_with(
     config: &LzssConfig,
     chunk_size: u32,
@@ -495,33 +475,8 @@ pub fn assemble_with(
     chunk_bodies: &[Vec<u8>],
     version: ContainerVersion,
 ) -> Result<Vec<u8>> {
-    let mut container = Container::new_versioned(config, chunk_size, total_len, version);
-    if chunk_bodies.len() != container.expected_chunks() {
-        return Err(Error::InvalidContainer {
-            reason: format!(
-                "assemble got {} bodies for {} chunks",
-                chunk_bodies.len(),
-                container.expected_chunks()
-            ),
-        });
-    }
-    for body in chunk_bodies {
-        if body.len() > u32::MAX as usize {
-            return Err(Error::InvalidContainer { reason: "chunk body over 4 GiB".into() });
-        }
-        container.chunk_comp_sizes.push(body.len() as u32);
-        if version == ContainerVersion::V2 {
-            container.chunk_crcs.push(crc32(body));
-        }
-    }
-    if version == ContainerVersion::V2 {
-        container.stream_crc = Some(stream_crc);
-    }
-    let mut out = container.serialize_header();
-    for body in chunk_bodies {
-        out.extend_from_slice(body);
-    }
-    Ok(out)
+    let container = Container::new_versioned(config, chunk_size, total_len, version);
+    assemble_into(container, stream_crc, chunk_bodies, |_, body| crc32(body))
 }
 
 /// Assembles a checksummed (v2) container stream from bodies whose
@@ -530,7 +485,7 @@ pub fn assemble_with(
 /// a hit. `chunk_crcs[i]` must equal `crc32(chunk_bodies[i])` (debug
 /// builds assert it) and `stream_crc` must be the [`stream_crc_of`] fold
 /// of the uncompressed input. Output is byte-identical to
-/// [`assemble_v2`] over the same bodies.
+/// [`assemble_with`] at [`ContainerVersion::V2`] over the same bodies.
 pub fn assemble_v2_precomputed(
     config: &LzssConfig,
     chunk_size: u32,
@@ -539,17 +494,6 @@ pub fn assemble_v2_precomputed(
     chunk_bodies: &[&[u8]],
     chunk_crcs: &[u32],
 ) -> Result<Vec<u8>> {
-    let mut container =
-        Container::new_versioned(config, chunk_size, total_len, ContainerVersion::V2);
-    if chunk_bodies.len() != container.expected_chunks() {
-        return Err(Error::InvalidContainer {
-            reason: format!(
-                "assemble got {} bodies for {} chunks",
-                chunk_bodies.len(),
-                container.expected_chunks()
-            ),
-        });
-    }
     if chunk_crcs.len() != chunk_bodies.len() {
         return Err(Error::InvalidContainer {
             reason: format!(
@@ -559,18 +503,53 @@ pub fn assemble_v2_precomputed(
             ),
         });
     }
-    for (body, &crc) in chunk_bodies.iter().zip(chunk_crcs) {
+    let container = Container::new_versioned(config, chunk_size, total_len, ContainerVersion::V2);
+    assemble_into(container, stream_crc, chunk_bodies, |i, body| {
+        debug_assert_eq!(
+            chunk_crcs[i],
+            crc32(body),
+            "precomputed chunk CRC does not match its body"
+        );
+        chunk_crcs[i]
+    })
+}
+
+/// The one table/header builder behind both assemblers: checks the body
+/// count against the header's chunk grid, fills the size table (and, for
+/// v2, the chunk CRCs from `chunk_crc(index, body)` plus the stream CRC),
+/// then appends the bodies in order.
+fn assemble_into<B: AsRef<[u8]>>(
+    mut container: Container,
+    stream_crc: u32,
+    chunk_bodies: &[B],
+    mut chunk_crc: impl FnMut(usize, &[u8]) -> u32,
+) -> Result<Vec<u8>> {
+    if chunk_bodies.len() != container.expected_chunks() {
+        return Err(Error::InvalidContainer {
+            reason: format!(
+                "assemble got {} bodies for {} chunks",
+                chunk_bodies.len(),
+                container.expected_chunks()
+            ),
+        });
+    }
+    let checksummed = container.is_checksummed();
+    for (index, body) in chunk_bodies.iter().enumerate() {
+        let body = body.as_ref();
         if body.len() > u32::MAX as usize {
             return Err(Error::InvalidContainer { reason: "chunk body over 4 GiB".into() });
         }
-        debug_assert_eq!(crc, crc32(body), "precomputed chunk CRC does not match its body");
         container.chunk_comp_sizes.push(body.len() as u32);
-        container.chunk_crcs.push(crc);
+        if checksummed {
+            container.chunk_crcs.push(chunk_crc(index, body));
+        }
     }
-    container.stream_crc = Some(stream_crc);
+    if checksummed {
+        container.stream_crc = Some(stream_crc);
+    }
     let mut out = container.serialize_header();
     for body in chunk_bodies {
-        out.extend_from_slice(body);
+        out.extend_from_slice(body.as_ref());
     }
     Ok(out)
 }
@@ -649,7 +628,7 @@ mod tests {
         // The legacy writer had no version knob; its exact bytes are pinned
         // here so the golden fixtures stay valid.
         let bodies = vec![vec![9u8, 9, 9, 9]];
-        let stream = assemble(&cfg(), 4096, 4096, &bodies).unwrap();
+        let stream = assemble_with(&cfg(), 4096, 4096, 0, &bodies, ContainerVersion::V1).unwrap();
         assert_eq!(stream.len(), Container::HEADER_LEN + 4 + 4);
         assert_eq!(stream[4], VERSION_V1);
         assert_eq!(&stream[Container::HEADER_LEN + 4..], &[9, 9, 9, 9]);
@@ -658,8 +637,9 @@ mod tests {
     #[test]
     fn assemble_rejects_wrong_chunk_count() {
         let bodies = vec![vec![0u8; 4]];
-        assert!(assemble(&cfg(), 4096, 10_000, &bodies).is_err());
-        assert!(assemble_v2(&cfg(), 4096, 10_000, 0, &bodies).is_err());
+        for version in [ContainerVersion::V1, ContainerVersion::V2] {
+            assert!(assemble_with(&cfg(), 4096, 10_000, 0, &bodies, version).is_err());
+        }
     }
 
     #[test]
@@ -700,7 +680,7 @@ mod tests {
     #[test]
     fn v2_metadata_tampering_is_rejected_by_the_meta_crc() {
         let bodies = vec![vec![5u8; 1000], vec![6u8; 900]];
-        let stream = assemble_v2(&cfg(), 1024, 2048, 77, &bodies).unwrap();
+        let stream = assemble_with(&cfg(), 1024, 2048, 77, &bodies, ContainerVersion::V2).unwrap();
         Container::parse(&stream).unwrap();
 
         // Flip one byte in the size table: caught by meta CRC, not by the
@@ -723,7 +703,7 @@ mod tests {
     #[test]
     fn payload_flips_are_caught_by_chunk_crcs() {
         let bodies = vec![vec![5u8; 100], vec![6u8; 90]];
-        let stream = assemble_v2(&cfg(), 1024, 2048, 77, &bodies).unwrap();
+        let stream = assemble_with(&cfg(), 1024, 2048, 77, &bodies, ContainerVersion::V2).unwrap();
         let (container, offset) = Container::parse(&stream).unwrap();
         container.verify_chunk_crcs(&stream[offset..]).unwrap();
 
@@ -742,7 +722,15 @@ mod tests {
     fn stream_crc_check() {
         let input = b"whole stream check".to_vec();
         let bodies = vec![input.clone()];
-        let stream = assemble_v2(&cfg(), 4096, input.len() as u64, crc32(&input), &bodies).unwrap();
+        let stream = assemble_with(
+            &cfg(),
+            4096,
+            input.len() as u64,
+            crc32(&input),
+            &bodies,
+            ContainerVersion::V2,
+        )
+        .unwrap();
         let (container, _) = Container::parse(&stream).unwrap();
         container.verify_stream_crc(&input).unwrap();
         assert!(matches!(
@@ -778,11 +766,12 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_assembly_matches_assemble_v2() {
+    fn precomputed_assembly_matches_assemble_with() {
         let input: Vec<u8> = (0u32..2048).map(|i| (i % 251) as u8).collect();
         let bodies = vec![vec![5u8; 700], vec![6u8; 650]];
         let stream_crc = stream_crc_of(&input, 1024);
-        let plain = assemble_v2(&cfg(), 1024, 2048, stream_crc, &bodies).unwrap();
+        let plain =
+            assemble_with(&cfg(), 1024, 2048, stream_crc, &bodies, ContainerVersion::V2).unwrap();
         let refs: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
         let crcs: Vec<u32> = bodies.iter().map(|b| crc32(b)).collect();
         let pre = assemble_v2_precomputed(&cfg(), 1024, 2048, stream_crc, &refs, &crcs).unwrap();
@@ -824,7 +813,7 @@ mod tests {
     #[test]
     fn parse_lenient_tolerates_payload_truncation_only() {
         let bodies = vec![vec![1u8; 100], vec![2u8; 100]];
-        let stream = assemble_v2(&cfg(), 1024, 2048, 0, &bodies).unwrap();
+        let stream = assemble_with(&cfg(), 1024, 2048, 0, &bodies, ContainerVersion::V2).unwrap();
         let meta_end = stream.len() - 200;
 
         // Strict parse refuses a truncated payload; lenient accepts and

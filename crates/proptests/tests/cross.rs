@@ -55,12 +55,13 @@ proptest! {
             .chunks(params.chunk_size)
             .map(|c| culzss_lzss::format::encode(&serial::tokenize(c, &config), &config))
             .collect();
-        let reference = culzss_lzss::container::assemble_v2(
+        let reference = culzss_lzss::container::assemble_with(
             &config,
             params.chunk_size as u32,
             data.len() as u64,
             culzss_lzss::container::stream_crc_of(&data, params.chunk_size as u32),
             &bodies,
+            culzss_lzss::container::ContainerVersion::V2,
         )
         .unwrap();
         prop_assert_eq!(stream, reference);
@@ -79,12 +80,13 @@ proptest! {
             .chunks(params.chunk_size)
             .map(|c| culzss_lzss::format::encode(&serial::tokenize(c, &config), &config))
             .collect();
-        let reference = culzss_lzss::container::assemble_v2(
+        let reference = culzss_lzss::container::assemble_with(
             &config,
             params.chunk_size as u32,
             data.len() as u64,
             culzss_lzss::container::stream_crc_of(&data, params.chunk_size as u32),
             &bodies,
+            culzss_lzss::container::ContainerVersion::V2,
         )
         .unwrap();
         prop_assert_eq!(stream, reference);

@@ -3,6 +3,7 @@
 
 use culzss::{Culzss, CulzssParams, Version};
 use culzss_datasets::Dataset;
+use culzss_lzss::container::ContainerVersion;
 use culzss_lzss::{serial, LzssConfig};
 
 const SIZE: usize = 96 * 1024;
@@ -99,12 +100,13 @@ fn v1_output_equals_per_chunk_serial_compression() {
         .chunks(params.chunk_size)
         .map(|chunk| culzss_lzss::format::encode(&serial::tokenize(chunk, &config), &config))
         .collect();
-    let reference = culzss_lzss::container::assemble_v2(
+    let reference = culzss_lzss::container::assemble_with(
         &config,
         params.chunk_size as u32,
         data.len() as u64,
         culzss_lzss::container::stream_crc_of(&data, params.chunk_size as u32),
         &bodies,
+        ContainerVersion::V2,
     )
     .unwrap();
     assert_eq!(gpu_stream, reference);
