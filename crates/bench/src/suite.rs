@@ -56,6 +56,7 @@ use std::collections::BTreeMap;
 
 use culzss::{Culzss, DecodeEngine, Version};
 use culzss_datasets::{edits, Dataset};
+use culzss_lzss::container::ContainerVersion;
 use culzss_lzss::matchfind::FinderKind;
 use culzss_lzss::LzssConfig;
 use culzss_server::{loadgen, JobSpec, LoadGenConfig, LoadProfile, ServerConfig, Service};
@@ -319,8 +320,15 @@ pub fn run_cell(
         "pthread" => {
             let workers = pthread_workers();
             measure(engine, dataset, data, cfg, probe, move || {
-                let out = culzss_pthread::compress_chunked(data, &serial_cfg, chunk, workers)
-                    .expect("pthread compress");
+                let out = culzss_pthread::compress_chunked(
+                    data,
+                    &serial_cfg,
+                    chunk,
+                    workers,
+                    FinderKind::BruteForce,
+                    ContainerVersion::default(),
+                )
+                .expect("pthread compress");
                 (out.len(), BTreeMap::new())
             })
         }
@@ -438,8 +446,15 @@ pub fn decode_cell(
         }
         "dec-pthread" => {
             let workers = pthread_workers();
-            let stream = culzss_pthread::compress_chunked(data, &serial_cfg, chunk, workers)
-                .expect("pthread compress");
+            let stream = culzss_pthread::compress_chunked(
+                data,
+                &serial_cfg,
+                chunk,
+                workers,
+                FinderKind::BruteForce,
+                ContainerVersion::default(),
+            )
+            .expect("pthread compress");
             decode_measure(engine, dataset, stream.len(), cfg, probe, move || {
                 let out = culzss_pthread::decompress(&stream, &serial_cfg, workers)
                     .expect("pthread decompress");

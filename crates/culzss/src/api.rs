@@ -249,19 +249,7 @@ impl Culzss {
     /// process is identical in both versions".
     pub fn decompress_auto(&self, bytes: &[u8]) -> CulzssResult<(Vec<u8>, PipelineStats)> {
         let (container, payload_offset) = Container::parse(bytes)?;
-        if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-            return Err(culzss_lzss::Error::InvalidContainer {
-                reason: "not a CULZSS (Fixed16) stream".into(),
-            }
-            .into());
-        }
-        let config = culzss_lzss::LzssConfig {
-            window_size: container.window_size as usize,
-            min_match: usize::from(container.min_match),
-            max_match: container.max_match as usize,
-            format: culzss_lzss::format::TokenFormat::Fixed16,
-        };
-        config.validate()?;
+        let config = container.culzss_config()?;
         self.decompress_parsed(bytes, container, payload_offset, config)
     }
 
@@ -284,19 +272,7 @@ impl Culzss {
         bytes: &[u8],
     ) -> CulzssResult<(Vec<u8>, PipelineStats, culzss_gpusim::sanitizer::SanitizerReport)> {
         let (container, payload_offset) = Container::parse(bytes)?;
-        if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-            return Err(culzss_lzss::Error::InvalidContainer {
-                reason: "not a CULZSS (Fixed16) stream".into(),
-            }
-            .into());
-        }
-        let config = culzss_lzss::LzssConfig {
-            window_size: container.window_size as usize,
-            min_match: usize::from(container.min_match),
-            max_match: container.max_match as usize,
-            format: culzss_lzss::format::TokenFormat::Fixed16,
-        };
-        config.validate()?;
+        let config = container.culzss_config()?;
         let (out, stats, report) =
             self.decompress_inner(bytes, container, payload_offset, config, true)?;
         Ok((out, stats, report.expect("checked launch always yields a report")))
@@ -620,31 +596,9 @@ mod auto_tests {
     fn decompress_auto_rejects_non_fixed16_streams() {
         let input = b"flagbit container is not a CULZSS stream".repeat(50);
         let config = culzss_lzss::LzssConfig::dipperstein();
-        let stream = culzss_pthread_free::compress(&input, &config);
+        let stream = culzss_pthread::compress(&input, &config, 1).unwrap();
         let v1 = Culzss::new(Version::V1).with_workers(1);
         assert!(v1.decompress_auto(&stream).is_err());
-    }
-
-    /// Local chunked FlagBit container builder (avoids a dev-dependency
-    /// cycle with culzss-pthread).
-    mod culzss_pthread_free {
-        pub fn compress(input: &[u8], config: &culzss_lzss::LzssConfig) -> Vec<u8> {
-            let bodies: Vec<Vec<u8>> = input
-                .chunks(4096)
-                .map(|c| {
-                    culzss_lzss::format::encode(&culzss_lzss::serial::tokenize(c, config), config)
-                })
-                .collect();
-            culzss_lzss::container::assemble_with(
-                config,
-                4096,
-                input.len() as u64,
-                0,
-                &bodies,
-                culzss_lzss::container::ContainerVersion::V1,
-            )
-            .unwrap()
-        }
     }
 
     #[test]
@@ -658,5 +612,36 @@ mod auto_tests {
         // A defaults-configured instance still decodes it.
         let stock = Culzss::new(Version::V1).with_workers(1);
         assert_eq!(stock.decompress_auto(&stream).unwrap().0, input);
+    }
+
+    #[test]
+    fn header_config_rule_recovers_the_encoder_params() {
+        use culzss_lzss::container::ContainerVersion;
+        use culzss_lzss::Error;
+        let input = Dataset::DeMap.generate(32 * 1024, 13);
+        let mut v1_legacy = CulzssParams::v1();
+        v1_legacy.container_version = ContainerVersion::V1;
+        // The custom-window header of `decompress_auto_handles_custom_windows`.
+        let mut custom = CulzssParams::v2();
+        custom.window_size = 64;
+        custom.max_match = 24;
+        let mut stream = Vec::new();
+        for params in [CulzssParams::v1(), CulzssParams::v2(), custom, v1_legacy] {
+            let culzss = Culzss::with_device(DeviceSpec::gtx480(), params.clone()).with_workers(1);
+            stream = culzss.compress(&input).unwrap().0;
+            let (container, _) = Container::parse(&stream).unwrap();
+            assert_eq!(container.culzss_config().unwrap(), params.lzss_config(), "{params:?}");
+        }
+        // A Fixed16 window no 8-bit offset reaches fails `validate` (the
+        // checksum-free v1 header lets the patch through `parse`).
+        stream[8..12].copy_from_slice(&512u32.to_le_bytes());
+        let (container, _) = Container::parse(&stream).unwrap();
+        assert!(matches!(container.culzss_config(), Err(Error::InvalidConfig { .. })));
+
+        let config = culzss_lzss::LzssConfig::dipperstein();
+        let flag_bit = culzss_pthread::compress(&input, &config, 1).unwrap();
+        let (container, _) = Container::parse(&flag_bit).unwrap();
+        let not_culzss = Error::InvalidContainer { reason: "not a CULZSS (Fixed16) stream".into() };
+        assert_eq!(container.culzss_config(), Err(not_culzss));
     }
 }

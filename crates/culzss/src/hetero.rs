@@ -10,10 +10,16 @@
 //! container — byte-identical to a pure-GPU run, which the tests pin
 //! down. The two engines' times combine as `max(cpu, gpu)` plus the
 //! serial merge.
+//!
+//! The CPU engine ([`cpu_compress_bodies`], [`cpu_compress`],
+//! [`cpu_decompress`]) owns no worker loop of its own: it runs the
+//! `culzss-pthread` chunk codec with the CULZSS parameters, and reads a
+//! stream's configuration through [`Container::culzss_config`].
 
 use std::time::Instant;
 
 use culzss_lzss::container::{assemble_with, stream_crc_of, Container};
+use culzss_lzss::matchfind::FinderKind;
 use culzss_lzss::serial;
 
 use crate::api::Culzss;
@@ -29,47 +35,28 @@ use crate::params::CulzssParams;
 /// degrading off a failed device) can produce wire-compatible streams.
 ///
 /// Each worker drives one reusable [`serial::Tokenizer`] with the
-/// fastest exact finder for the configuration (the hash chain for every
-/// CULZSS preset), so the per-chunk loop neither allocates nor
-/// brute-force-scans — output stays byte-identical by the finder's
+/// fastest exact finder for the configuration
+/// ([`FinderKind::auto_exact`]: the hash chain for every CULZSS preset),
+/// so the per-chunk loop neither allocates nor brute-force-scans —
+/// output stays byte-identical by the finder's
 /// longest-match/smallest-distance contract.
 pub fn cpu_compress_bodies(input: &[u8], params: &CulzssParams, threads: usize) -> Vec<Vec<u8>> {
     let config = params.lzss_config();
-    let chunks: Vec<&[u8]> = input.chunks(params.chunk_size).collect();
-    let mut bodies: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-    if !bodies.is_empty() {
-        let threads = threads.clamp(1, chunks.len());
-        let per_worker = chunks.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (chunk_range, body_range) in
-                chunks.chunks(per_worker).zip(bodies.chunks_mut(per_worker))
-            {
-                let config = &config;
-                scope.spawn(move |_| {
-                    let mut tokenizer = serial::Tokenizer::new(config);
-                    for (chunk, body) in chunk_range.iter().zip(body_range.iter_mut()) {
-                        tokenizer.compress_chunk_into(chunk, config, body);
-                    }
-                });
-            }
-        })
-        .expect("CPU compression worker panicked");
-    }
-    bodies
+    let finder = FinderKind::auto_exact(&config);
+    culzss_pthread::compress_bodies(input, &config, params.chunk_size, threads, finder)
 }
 
 /// Pure-CPU compression into the standard container — byte-identical to
 /// a pure-GPU V1 run with the same `params`.
 pub fn cpu_compress(input: &[u8], params: &CulzssParams, threads: usize) -> CulzssResult<Vec<u8>> {
     let config = params.lzss_config();
-    config.validate()?;
-    let bodies = cpu_compress_bodies(input, params, threads);
-    Ok(assemble_with(
+    let finder = FinderKind::auto_exact(&config);
+    Ok(culzss_pthread::compress_chunked(
+        input,
         &config,
-        params.chunk_size as u32,
-        input.len() as u64,
-        stream_crc_of(input, params.chunk_size as u32),
-        &bodies,
+        params.chunk_size,
+        threads,
+        finder,
         params.container_version,
     )?)
 }
@@ -80,52 +67,9 @@ pub fn cpu_compress(input: &[u8], params: &CulzssParams, threads: usize) -> Culz
 /// host-side fallback when no device is available.
 pub fn cpu_decompress(bytes: &[u8], threads: usize) -> CulzssResult<Vec<u8>> {
     let (container, payload_offset) = Container::parse(bytes)?;
-    if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-        return Err(culzss_lzss::Error::InvalidContainer {
-            reason: "not a CULZSS (Fixed16) stream".into(),
-        }
-        .into());
-    }
-    let config = culzss_lzss::LzssConfig {
-        window_size: container.window_size as usize,
-        min_match: usize::from(container.min_match),
-        max_match: container.max_match as usize,
-        format: culzss_lzss::format::TokenFormat::Fixed16,
-    };
-    config.validate()?;
+    let config = container.culzss_config()?;
     let payload = &bytes[payload_offset..];
-    container.verify_chunk_crcs(payload)?;
-    let layout = container.chunk_layout();
-    let mut pieces: Vec<culzss_lzss::error::Result<Vec<u8>>> = Vec::new();
-    pieces.resize_with(layout.len(), || Ok(Vec::new()));
-    if !layout.is_empty() {
-        let threads = threads.clamp(1, layout.len());
-        let per_worker = layout.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (jobs, outs) in layout.chunks(per_worker).zip(pieces.chunks_mut(per_worker)) {
-                let config = &config;
-                scope.spawn(move |_| {
-                    for ((range, unc_len), out) in jobs.iter().zip(outs.iter_mut()) {
-                        *out = serial::decode_body(&payload[range.clone()], config, *unc_len);
-                    }
-                });
-            }
-        })
-        .expect("CPU decompression worker panicked");
-    }
-    let mut out = Vec::with_capacity(container.total_len as usize);
-    for piece in pieces {
-        out.extend_from_slice(&piece?);
-    }
-    if out.len() as u64 != container.total_len {
-        return Err(culzss_lzss::Error::SizeMismatch {
-            expected: container.total_len as usize,
-            actual: out.len(),
-        }
-        .into());
-    }
-    container.verify_stream_crc(&out)?;
-    Ok(out)
+    Ok(culzss_pthread::decompress_parsed(&container, payload, &config, threads)?)
 }
 
 /// Timing summary of a heterogeneous run.

@@ -52,6 +52,7 @@
 use crate::config::LzssConfig;
 use crate::crc::crc32;
 use crate::error::{Error, Result};
+use crate::format::TokenFormat;
 
 /// Container magic: `"CLZC"`.
 pub const MAGIC: [u8; 4] = *b"CLZC";
@@ -379,6 +380,26 @@ impl Container {
                 ),
             })
         }
+    }
+
+    /// The validated Fixed16 token configuration this header declares —
+    /// the one rule every CULZSS decoder that reads its configuration
+    /// from the stream (rather than being told it) applies. Streams in
+    /// any other token format are rejected with a typed
+    /// [`Error::InvalidContainer`]; a header whose window or match bounds
+    /// fail [`LzssConfig::validate`] is rejected with that error.
+    pub fn culzss_config(&self) -> Result<LzssConfig> {
+        if self.format_id != TokenFormat::Fixed16.id() {
+            return Err(Error::InvalidContainer { reason: "not a CULZSS (Fixed16) stream".into() });
+        }
+        let config = LzssConfig {
+            window_size: self.window_size as usize,
+            min_match: usize::from(self.min_match),
+            max_match: self.max_match as usize,
+            format: TokenFormat::Fixed16,
+        };
+        config.validate()?;
+        Ok(config)
     }
 
     /// Iterates `(compressed_range, uncompressed_len)` for each chunk, with

@@ -14,6 +14,12 @@
 //! compressed independently with the serial LZSS codec, and the pieces are
 //! reassembled into the shared [`culzss_lzss::container`] format — which is
 //! also what enables parallel decompression.
+//!
+//! These two worker loops ([`compress_bodies`], [`decompress_parsed`]) are
+//! the only chunk-parallel CPU codec for containers. The `culzss` crate's
+//! CPU engine (`culzss::hetero`) drives them with the CULZSS Fixed16
+//! configuration, which makes them also the service's CPU lane, its
+//! verify-on-deliver decoder and the dedup CPU segment encoder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,42 +37,22 @@ pub fn default_threads() -> usize {
 }
 
 /// Splits `input` into `threads` nearly equal chunks (the paper's
-/// per-thread partitioning) and compresses them concurrently.
+/// per-thread partitioning) and compresses them concurrently with the
+/// paper's brute-force search into the default container version.
 pub fn compress(input: &[u8], config: &LzssConfig, threads: usize) -> Result<Vec<u8>> {
     let threads = threads.max(1);
     let chunk_size = input.len().div_ceil(threads).max(1);
-    compress_chunked(input, config, chunk_size, threads)
+    compress_chunked(input, config, chunk_size, threads, FinderKind::BruteForce, Default::default())
 }
 
-/// Chunked compression with an explicit chunk size: `input` is cut into
+/// Chunked compression with every setting explicit: `input` is cut into
 /// `chunk_size`-byte pieces, `threads` workers compress static contiguous
-/// ranges of them, and the bodies are assembled into a container. Matches
-/// never cross chunk boundaries, exactly as in the paper (each piece is
-/// independent).
+/// ranges of them with `finder`, and the bodies are assembled into a
+/// `version` container. Matches never cross chunk boundaries, exactly as
+/// in the paper (each piece is independent), so the output does not
+/// depend on `threads`. [`ContainerVersion::V1`] emits the checksum-free
+/// legacy layout byte-for-byte.
 pub fn compress_chunked(
-    input: &[u8],
-    config: &LzssConfig,
-    chunk_size: usize,
-    threads: usize,
-) -> Result<Vec<u8>> {
-    compress_chunked_with(input, config, chunk_size, threads, FinderKind::BruteForce)
-}
-
-/// [`compress_chunked`] with an explicit match-finder strategy.
-pub fn compress_chunked_with(
-    input: &[u8],
-    config: &LzssConfig,
-    chunk_size: usize,
-    threads: usize,
-    finder: FinderKind,
-) -> Result<Vec<u8>> {
-    compress_chunked_versioned(input, config, chunk_size, threads, finder, Default::default())
-}
-
-/// [`compress_chunked_with`] with an explicit container version — the
-/// full-control entry point. [`ContainerVersion::V1`] emits the
-/// checksum-free legacy layout byte-for-byte.
-pub fn compress_chunked_versioned(
     input: &[u8],
     config: &LzssConfig,
     chunk_size: usize,
@@ -81,9 +67,32 @@ pub fn compress_chunked_versioned(
     if chunk_size > u32::MAX as usize {
         return Err(Error::InvalidConfig { reason: "chunk_size must fit in u32".into() });
     }
+    let bodies = compress_bodies(input, config, chunk_size, threads, finder);
+    assemble_with(
+        config,
+        chunk_size as u32,
+        input.len() as u64,
+        stream_crc_of(input, chunk_size as u32),
+        &bodies,
+        version,
+    )
+}
+
+/// The chunk-compress worker loop: cuts `input` into `chunk_size`-byte
+/// pieces and returns each piece's compressed body, in order, with
+/// `threads` workers owning static contiguous ranges of chunks. Callers
+/// that assemble the container themselves (a heterogeneous split, a
+/// dedup cache) use this directly; `config` must be valid and
+/// `chunk_size` positive.
+pub fn compress_bodies(
+    input: &[u8],
+    config: &LzssConfig,
+    chunk_size: usize,
+    threads: usize,
+    finder: FinderKind,
+) -> Vec<Vec<u8>> {
     let chunks: Vec<&[u8]> = input.chunks(chunk_size).collect();
     let mut bodies: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-
     if !chunks.is_empty() {
         let threads = threads.clamp(1, chunks.len());
         let per_worker = chunks.len().div_ceil(threads);
@@ -103,22 +112,29 @@ pub fn compress_chunked_versioned(
         })
         .expect("compression worker panicked");
     }
-    assemble_with(
-        config,
-        chunk_size as u32,
-        input.len() as u64,
-        stream_crc_of(input, chunk_size as u32),
-        &bodies,
-        version,
-    )
+    bodies
 }
 
-/// Decompresses a container stream, decoding chunks concurrently.
+/// Decompresses a container stream whose token configuration must be
+/// `config`, decoding chunks concurrently.
 pub fn decompress(bytes: &[u8], config: &LzssConfig, threads: usize) -> Result<Vec<u8>> {
     config.validate()?;
     let (container, payload_offset) = Container::parse(bytes)?;
     container.check_config(config)?;
-    let payload = &bytes[payload_offset..];
+    decompress_parsed(&container, &bytes[payload_offset..], config, threads)
+}
+
+/// The chunk-decode worker loop over an already parsed `container` and
+/// its `payload`, decoded with `config` (which the caller has matched to
+/// the header): verifies the chunk CRCs, decodes the chunks on `threads`
+/// workers owning static contiguous ranges, then checks the total size
+/// and the stream CRC.
+pub fn decompress_parsed(
+    container: &Container,
+    payload: &[u8],
+    config: &LzssConfig,
+    threads: usize,
+) -> Result<Vec<u8>> {
     container.verify_chunk_crcs(payload)?;
     let layout = container.chunk_layout();
 
@@ -156,6 +172,7 @@ pub fn decompress(bytes: &[u8], config: &LzssConfig, threads: usize) -> Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ContainerVersion::V2;
 
     fn sample() -> Vec<u8> {
         b"a man a plan a canal panama ".repeat(300)
@@ -184,8 +201,8 @@ mod tests {
         let config = LzssConfig::dipperstein();
         let input = sample();
         // Same chunk size -> byte-identical output regardless of pool size.
-        let a = compress_chunked(&input, &config, 1024, 1).unwrap();
-        let b = compress_chunked(&input, &config, 1024, 7).unwrap();
+        let a = compress_chunked(&input, &config, 1024, 1, FinderKind::BruteForce, V2).unwrap();
+        let b = compress_chunked(&input, &config, 1024, 7, FinderKind::BruteForce, V2).unwrap();
         assert_eq!(a, b);
     }
 
@@ -209,7 +226,8 @@ mod tests {
         let config = LzssConfig::dipperstein();
         let input = sample();
         let whole = serial::compress(&input, &config).unwrap().len();
-        let chunked = compress_chunked(&input, &config, 2048, 4).unwrap().len();
+        let chunked =
+            compress_chunked(&input, &config, 2048, 4, FinderKind::BruteForce, V2).unwrap().len();
         // Chunked is worse (no cross-chunk matches + size table) but stays
         // in the same band — the effect the paper reports in Table II.
         assert!(chunked >= whole);
@@ -219,7 +237,7 @@ mod tests {
     #[test]
     fn zero_chunk_size_is_rejected() {
         let config = LzssConfig::dipperstein();
-        assert!(compress_chunked(b"abc", &config, 0, 2).is_err());
+        assert!(compress_chunked(b"abc", &config, 0, 2, FinderKind::BruteForce, V2).is_err());
     }
 
     #[test]
@@ -241,19 +259,12 @@ mod tests {
         let config = LzssConfig::dipperstein();
         let input = sample();
         for version in [ContainerVersion::V1, ContainerVersion::V2] {
-            let c = compress_chunked_versioned(
-                &input,
-                &config,
-                2048,
-                4,
-                FinderKind::BruteForce,
-                version,
-            )
-            .unwrap();
+            let c = compress_chunked(&input, &config, 2048, 4, FinderKind::BruteForce, version)
+                .unwrap();
             assert_eq!(decompress(&c, &config, 4).unwrap(), input, "{version:?}");
         }
         // Default emission carries CRCs: a payload flip is a typed error.
-        let mut c = compress_chunked(&input, &config, 2048, 4).unwrap();
+        let mut c = compress_chunked(&input, &config, 2048, 4, FinderKind::BruteForce, V2).unwrap();
         let at = c.len() - 10;
         c[at] ^= 0x04;
         assert!(matches!(
@@ -266,88 +277,7 @@ mod tests {
     fn hash_chain_variant_roundtrips() {
         let config = LzssConfig::dipperstein();
         let input = sample();
-        let c = compress_chunked_with(&input, &config, 2048, 4, FinderKind::HashChain).unwrap();
+        let c = compress_chunked(&input, &config, 2048, 4, FinderKind::HashChain, V2).unwrap();
         assert_eq!(decompress(&c, &config, 4).unwrap(), input);
-    }
-}
-
-/// Dynamically scheduled variant: workers pull chunks from a shared
-/// queue (the PBZIP2-style producer/consumer arrangement the paper's
-/// related-work section cites) instead of owning static ranges. Output
-/// is byte-identical to [`compress_chunked`]; only load balance differs,
-/// which matters when chunk costs vary wildly (e.g. mixed traffic).
-pub fn compress_chunked_dynamic(
-    input: &[u8],
-    config: &LzssConfig,
-    chunk_size: usize,
-    threads: usize,
-) -> Result<Vec<u8>> {
-    config.validate()?;
-    if chunk_size == 0 {
-        return Err(Error::InvalidConfig { reason: "chunk_size must be positive".into() });
-    }
-    if chunk_size > u32::MAX as usize {
-        return Err(Error::InvalidConfig { reason: "chunk_size must fit in u32".into() });
-    }
-    let chunks: Vec<&[u8]> = input.chunks(chunk_size).collect();
-    let slots: Vec<std::sync::Mutex<Vec<u8>>> =
-        (0..chunks.len()).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-
-    if !chunks.is_empty() {
-        let threads = threads.clamp(1, chunks.len());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| {
-                    let mut tokenizer =
-                        serial::Tokenizer::with_finder(config, FinderKind::BruteForce);
-                    let mut body = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= chunks.len() {
-                            break;
-                        }
-                        tokenizer.compress_chunk_into(chunks[idx], config, &mut body);
-                        *slots[idx].lock().expect("slot lock") = std::mem::take(&mut body);
-                    }
-                });
-            }
-        })
-        .expect("compression worker panicked");
-    }
-    let bodies: Vec<Vec<u8>> =
-        slots.into_iter().map(|m| m.into_inner().expect("slot lock")).collect();
-    assemble_with(
-        config,
-        chunk_size as u32,
-        input.len() as u64,
-        stream_crc_of(input, chunk_size as u32),
-        &bodies,
-        Default::default(),
-    )
-}
-
-#[cfg(test)]
-mod dynamic_tests {
-    use super::*;
-
-    #[test]
-    fn dynamic_equals_static_output() {
-        let config = LzssConfig::dipperstein();
-        let input = b"dynamic scheduling must not change bytes ".repeat(400);
-        let stat = compress_chunked(&input, &config, 2048, 3).unwrap();
-        let dyn_ = compress_chunked_dynamic(&input, &config, 2048, 3).unwrap();
-        assert_eq!(stat, dyn_);
-        assert_eq!(decompress(&dyn_, &config, 3).unwrap(), input);
-    }
-
-    #[test]
-    fn dynamic_handles_edge_inputs() {
-        let config = LzssConfig::dipperstein();
-        for input in [&b""[..], b"x", b"tiny chunked input"] {
-            let c = compress_chunked_dynamic(input, &config, 7, 5).unwrap();
-            assert_eq!(decompress(&c, &config, 5).unwrap(), input);
-        }
-        assert!(compress_chunked_dynamic(b"abc", &config, 0, 2).is_err());
     }
 }

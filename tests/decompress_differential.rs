@@ -17,11 +17,12 @@
 //! kernels' `run_checked` coverage.
 
 use culzss::hetero;
-use culzss::{Culzss, CulzssParams, DecodeEngine, Version};
+use culzss::{Culzss, CulzssError, CulzssParams, DecodeEngine, Version};
 use culzss_datasets::Dataset;
 use culzss_gpusim::{DeviceSpec, GpuSim};
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::container::ContainerVersion;
+use culzss_lzss::Error as LzssError;
 
 const SAMPLE_BYTES: usize = 24 * 1024; // six 4 KB chunks
 const SEED: u64 = 2011;
@@ -125,7 +126,10 @@ fn all_decoders_agree_on_chunk_boundary_edge_sizes() {
 /// The pthread wrapper emits flag-bit token bodies the GPU decode
 /// kernels do not implement: both engines must reject such streams with
 /// the **same typed error** — and never return wrong bytes — while the
-/// pthread decoder itself round-trips them.
+/// pthread decoder itself round-trips them. Every other decoder that
+/// reads its configuration from the header (the CPU reference and
+/// salvage) applies the same rule and rejects with the same
+/// `InvalidContainer` reason.
 #[test]
 fn both_gpu_engines_reject_flag_bit_streams_identically() {
     let config = LzssConfig::dipperstein();
@@ -147,6 +151,23 @@ fn both_gpu_engines_reject_flag_bit_streams_identically() {
             serial_err.to_string(),
             warp_err.to_string(),
             "[{slug}] engines disagree on the rejection error"
+        );
+        let CulzssError::Codec(LzssError::InvalidContainer { reason }) = serial_err else {
+            panic!("[{slug}] serial engine rejected with {serial_err:?}, not InvalidContainer");
+        };
+        let cpu_err = hetero::cpu_decompress(&stream, 2)
+            .expect_err(&format!("[{slug}] cpu decoder accepted a flag-bit stream"));
+        let salvage_err = culzss::salvage::salvage(&stream)
+            .expect_err(&format!("[{slug}] salvage accepted a flag-bit stream"));
+        assert_eq!(
+            cpu_err,
+            CulzssError::Codec(LzssError::InvalidContainer { reason: reason.clone() }),
+            "[{slug}] cpu decoder disagrees on the rejection"
+        );
+        assert_eq!(
+            salvage_err,
+            LzssError::InvalidContainer { reason },
+            "[{slug}] salvage disagrees on the rejection"
         );
     }
 }

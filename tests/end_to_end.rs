@@ -4,6 +4,7 @@
 use culzss::{Culzss, CulzssParams, Version};
 use culzss_datasets::Dataset;
 use culzss_lzss::container::ContainerVersion;
+use culzss_lzss::matchfind::FinderKind;
 use culzss_lzss::{serial, LzssConfig};
 
 const SIZE: usize = 96 * 1024;
@@ -73,8 +74,15 @@ fn pthread_and_gpu_containers_are_wire_compatible() {
     let config = params.lzss_config();
     let data = Dataset::CFiles.generate(SIZE, SEED);
 
-    let cpu_stream =
-        culzss_pthread::compress_chunked(&data, &config, params.chunk_size, 4).unwrap();
+    let cpu_stream = culzss_pthread::compress_chunked(
+        &data,
+        &config,
+        params.chunk_size,
+        4,
+        FinderKind::BruteForce,
+        ContainerVersion::default(),
+    )
+    .unwrap();
     let gpu = Culzss::new(Version::V1).with_workers(2);
     let (gpu_restored, _) = gpu.decompress(&cpu_stream).unwrap();
     assert_eq!(gpu_restored, data);

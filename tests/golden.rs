@@ -72,7 +72,7 @@ fn culzss_versioned(version: Version, container: ContainerVersion) -> Culzss {
 /// version.
 fn pthread_versioned(input: &[u8], container: ContainerVersion) -> Vec<u8> {
     let chunk_size = input.len().div_ceil(3).max(1);
-    culzss_pthread::compress_chunked_versioned(
+    culzss_pthread::compress_chunked(
         input,
         &LzssConfig::dipperstein(),
         chunk_size,
