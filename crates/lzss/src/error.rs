@@ -77,7 +77,7 @@ pub enum Error {
         /// Bytes actually available.
         got: usize,
     },
-    /// An underlying I/O operation failed (only from the [`crate::stream`]
+    /// An underlying I/O operation failed (only from the `culzss::stream`
     /// adapters; in-memory codecs never produce this).
     Io {
         /// Stringified `std::io::Error`, kept as text so `Error: Clone + Eq`.
@@ -133,12 +133,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io { message: e.to_string() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,14 +151,6 @@ mod tests {
 
         let e = Error::SizeMismatch { expected: 10, actual: 7 };
         assert!(e.to_string().contains("10") && e.to_string().contains("7"));
-    }
-
-    #[test]
-    fn io_errors_convert() {
-        let io = std::io::Error::other("boom");
-        let e: Error = io.into();
-        assert!(matches!(e, Error::Io { .. }));
-        assert!(e.to_string().contains("boom"));
     }
 
     #[test]
