@@ -240,7 +240,9 @@ impl Culzss {
         let config = self.params.lzss_config();
         let (container, payload_offset) = Container::parse(bytes)?;
         container.check_config(&config)?;
-        self.decompress_parsed(bytes, container, payload_offset, config)
+        let (out, stats, _) =
+            self.decompress_inner(bytes, container, payload_offset, config, false)?;
+        Ok((out, stats))
     }
 
     /// Decompresses any CULZSS container regardless of which version (or
@@ -250,7 +252,9 @@ impl Culzss {
     pub fn decompress_auto(&self, bytes: &[u8]) -> CulzssResult<(Vec<u8>, PipelineStats)> {
         let (container, payload_offset) = Container::parse(bytes)?;
         let config = container.culzss_config()?;
-        self.decompress_parsed(bytes, container, payload_offset, config)
+        let (out, stats, _) =
+            self.decompress_inner(bytes, container, payload_offset, config, false)?;
+        Ok((out, stats))
     }
 
     /// Salvage-decodes a (possibly corrupted) container: every intact
@@ -276,18 +280,6 @@ impl Culzss {
         let (out, stats, report) =
             self.decompress_inner(bytes, container, payload_offset, config, true)?;
         Ok((out, stats, report.expect("checked launch always yields a report")))
-    }
-
-    fn decompress_parsed(
-        &self,
-        bytes: &[u8],
-        container: Container,
-        payload_offset: usize,
-        config: culzss_lzss::LzssConfig,
-    ) -> CulzssResult<(Vec<u8>, PipelineStats)> {
-        let (out, stats, _) =
-            self.decompress_inner(bytes, container, payload_offset, config, false)?;
-        Ok((out, stats))
     }
 
     fn decompress_inner(
